@@ -89,7 +89,9 @@ let () =
         ?brk_max:(if !brk_max > 0 then Some !brk_max else None)
         ~strict_align:!strict_align exe
     in
+    let words0 = Gc.minor_words () in
     let outcome = Machine.Sim.run ~max_insns:!fuel m in
+    let run_words = Gc.minor_words () -. words0 in
     print_string (Machine.Sim.stdout m);
     let err = Machine.Sim.stderr m in
     if err <> "" then Printf.eprintf "%s" err;
@@ -109,7 +111,10 @@ let () =
         s.Machine.Sim.st_cond_branches s.Machine.Sim.st_taken
         s.Machine.Sim.st_calls s.Machine.Sim.st_syscalls;
       let built, leaders = Machine.Sim.blocks_translated m in
-      Printf.eprintf "blocks translated / leaders: %d / %d\n" built leaders
+      Printf.eprintf "blocks translated / leaders: %d / %d\n" built leaders;
+      Printf.eprintf "host minor words in Sim.run: %.0f (%.4f per instruction)\n"
+        run_words
+        (run_words /. float_of_int (max 1 s.Machine.Sim.st_insns))
     end;
     match outcome with
     | Machine.Sim.Exit n -> exit n

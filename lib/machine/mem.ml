@@ -23,7 +23,7 @@ type prot = {
    to the one backing [bytes].  A permission check is therefore free on
    the hot path — it is the table lookup itself — and a page's [bytes]
    is never replaced once created, so cached references (the fast
-   engine's one-entry page caches) cannot go stale. *)
+   engine's page TLBs) cannot go stale. *)
 type t = {
   rpages : (int, bytes) Hashtbl.t;
   wpages : (int, bytes) Hashtbl.t;

@@ -44,8 +44,9 @@ val grow_heap : t -> int -> unit
 val rpage : t -> int -> bytes
 (** The readable page backing an address, created on first touch;
     raises {!Prot}/{!Limit}.  Exposed for {!Exec}'s translated memory
-    accessors, which keep one-entry page caches; pages are never
-    replaced once created, so a cached [bytes] never goes stale. *)
+    accessors, which cache pages in small direct-mapped TLBs and call
+    this on a miss; pages are never replaced once created, so a cached
+    [bytes] never goes stale. *)
 
 val wpage : t -> int -> bytes
 (** Same, for the writable view. *)

@@ -139,8 +139,8 @@ let start ?(engine = Fast) ?(stdin = "") ?(inputs = []) ?(protect = true)
   let t =
     {
       mem;
-      regs = Array.make 32 0L;
-      fregs = Array.make 32 0L;
+      regs = Bytes.make 256 '\000';
+      fregs = Bytes.make 256 '\000';
       pc = im.im_entry;
       code;
       engine;
@@ -167,7 +167,7 @@ let start ?(engine = Fast) ?(stdin = "") ?(inputs = []) ?(protect = true)
       trace = None;
     }
   in
-  t.regs.(Reg.sp) <- Int64.of_int (im.im_stack_top - 64);
+  setr t Reg.sp (Int64.of_int (im.im_stack_top - 64));
   t
 
 let load ?engine ?stdin ?inputs ?protect ?max_pages ?stack_bytes ?brk_max

@@ -12,9 +12,10 @@ type code_seg = {
          engine builds a turbo block on first entry *)
 }
 
-(* A code segment compiled to closures by {!Exec}: one [unit -> unit]
-   per instruction word, indexed exactly like [cs_insns]. *)
-type fast_seg = { fs_base : int; fs_len : int; fs_fns : (unit -> unit) array }
+(* A code segment translated by {!Exec}: one [int -> unit] per
+   instruction word, indexed exactly like [cs_insns] and called with its
+   own index. *)
+type fast_seg = { fs_base : int; fs_len : int; fs_fns : (int -> unit) array }
 
 type stats = {
   st_insns : int;
@@ -32,8 +33,8 @@ type engine = Ref | Fast
 
 type t = {
   mem : Mem.t;
-  regs : int64 array;
-  fregs : int64 array;
+  regs : bytes;  (** 32 8-byte slots; slot 31 is never written *)
+  fregs : bytes;
   mutable pc : int;
   code : code_seg list;
   engine : engine;
@@ -77,10 +78,13 @@ exception Halted of int
 exception Faulted of Fault.t
 exception Fuel
 
-let getr t r = if r = 31 then 0L else Array.unsafe_get t.regs r
-let setr t r v = if r <> 31 then Array.unsafe_set t.regs r v
-let getf t r = if r = 31 then 0L else Array.unsafe_get t.fregs r
-let setf t r v = if r <> 31 then Array.unsafe_set t.fregs r v
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let getr t r = if r = 31 then 0L else get64u t.regs (r lsl 3)
+let setr t r v = if r <> 31 then set64u t.regs (r lsl 3) v
+let getf t r = if r = 31 then 0L else get64u t.fregs (r lsl 3)
+let setf t r v = if r <> 31 then set64u t.fregs (r lsl 3) v
 let getfv t r = Int64.float_of_bits (getf t r)
 let setfv t r v = setf t r (Int64.bits_of_float v)
 

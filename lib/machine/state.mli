@@ -14,7 +14,9 @@ type code_seg = {
   cs_leader : bool array;
 }
 
-type fast_seg = { fs_base : int; fs_len : int; fs_fns : (unit -> unit) array }
+type fast_seg = { fs_base : int; fs_len : int; fs_fns : (int -> unit) array }
+(** A code segment translated by {!Exec}: [fs_fns.(k)] runs the code at
+    word [k] and is always called with [k]. *)
 
 type stats = {
   st_insns : int;
@@ -32,8 +34,11 @@ type engine = Ref | Fast
 
 type t = {
   mem : Mem.t;
-  regs : int64 array;
-  fregs : int64 array;
+  regs : bytes;
+      (** the integer registers: 32 8-byte slots, register [r] at byte
+          [8 * r], read and written only through {!get64u}/{!set64u};
+          slot 31 is never written, so it reads as zero *)
+  fregs : bytes;  (** the floating registers' bit patterns, laid out alike *)
   mutable pc : int;
   code : code_seg list;
   engine : engine;
@@ -75,6 +80,14 @@ exception Faulted of Fault.t
 exception Fuel
 (** Raised by the fast engine when the instruction budget runs out. *)
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+(** Unchecked native-endian access to the 8-byte slot at a byte offset.
+    As primitives they compile inline in every module, even one built
+    with [-opaque], so a register value read or written through them is
+    never boxed; a call to a function of another module (or through a
+    closure) boxes every [int64] and [float] it passes or returns. *)
+
 val getr : t -> int -> int64
 val setr : t -> int -> int64 -> unit
 val getf : t -> int -> int64
@@ -83,12 +96,6 @@ val getfv : t -> int -> float
 val setfv : t -> int -> float -> unit
 
 val sext32 : int64 -> int64
-val umulh : int64 -> int64 -> int64
-val cmpbge : int64 -> int64 -> int64
-val zap_bytes : int64 -> int -> keep:bool -> int64
-val byte_mask : int -> int64
-val bool64 : bool -> int64
-val u_lt : int64 -> int64 -> bool
 
 val eval_opr : Insn.opr_op -> int64 -> int64 -> int64
 (** Result of a non-conditional-move operate instruction. *)
