@@ -32,6 +32,10 @@ val leaders : Alpha.Insn.t array -> bool array
     control transfer.  The engine builds a turbo block at a leader the
     first time control enters it. *)
 
+val tlb_size : int
+(** Entries in each of the engine's two direct-mapped page TLBs, one for
+    loads and one for stores: pages [tlb_size] pages apart share a slot. *)
+
 val run : max_insns:int -> State.t -> State.outcome
 (** Execute until exit, fault or fuel exhaustion after [max_insns]
     instructions, exactly as [Sim.run] would on the reference engine. *)
