@@ -111,7 +111,11 @@ let () =
         s.Machine.Sim.st_cond_branches s.Machine.Sim.st_taken
         s.Machine.Sim.st_calls s.Machine.Sim.st_syscalls;
       let built, leaders = Machine.Sim.blocks_translated m in
-      Printf.eprintf "blocks translated / leaders: %d / %d\n" built leaders;
+      let decoded, words = Machine.Sim.words_decoded m in
+      Printf.eprintf
+        "blocks translated / leaders: %d / %d; code words decoded / total: \
+         %d / %d\n"
+        built leaders decoded words;
       Printf.eprintf "host minor words in Sim.run: %.0f (%.4f per instruction)\n"
         run_words
         (run_words /. float_of_int (max 1 s.Machine.Sim.st_insns))

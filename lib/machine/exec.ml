@@ -2,14 +2,14 @@
 
    Instead of fetching and dispatching on a decoded [Insn.t] every step
    (the {!Sim} reference interpreter), the engine runs OCaml closures
-   translated from the predecoded code.  Translation is lazy, the way a
-   dynamic binary translator fills its code cache: [translate] only
-   installs stubs, and each stub translates its piece of code the first
-   time control reaches it, writes the result into its own slot and
-   calls it.  A slot is always called with its own index, so two stubs
-   shared by every slot of a segment suffice.  A run pays translation
-   only for the code it executes.  Translation happens at two
-   granularities:
+   translated from the code.  Translation is lazy, the way a dynamic
+   binary translator fills its code cache: [translate] only allocates
+   each segment's slot arrays, filled with two stubs that every slot of
+   every program shares.  A stub raises its slot's index to the driver
+   loop, which translates that piece of code — decoding its words on
+   first use ({!State.insn}) — writes the result into the slot and calls
+   it.  A run pays decoding and translation only for the code it
+   executes.  Translation happens at two granularities:
 
    {b Per instruction} ([compile]): one closure per instruction word,
    performing exactly one reference step — budget check, dual-issue pair
@@ -55,10 +55,11 @@
    Two invariants keep each slot translated once.  No translated closure
    holds a slot's contents by value: every dispatch — fall-through,
    branch target, a block's slow-path entry — reads its slot when it is
-   called, so once a stub has replaced itself nothing reaches it again.
+   called, so once a slot is translated nothing reaches its stub again.
    And in per-instruction mode the dispatch array and the
-   per-instruction array are one array, so a stub's write lands in the
-   slot that dispatch reads.
+   per-instruction array are one array, so the translation the driver
+   writes lands in the slot that dispatch reads.  Every dispatch is a
+   tail call, so a stub's raise abandons no work.
 
    Equivalence discipline: per-block batching reorders the bookkeeping
    against the architectural effects, but nothing can observe the
@@ -66,7 +67,11 @@
    and syscalls only occur as block terminators (after the batch, like
    the reference's fetch-then-step), and within a straight line the pair
    accounting depends only on the entry state, which the turbo closure
-   tests dynamically exactly as the reference fetch does.  [t.pc] is
+   tests dynamically exactly as the reference fetch does.  The one
+   exception is a load or store, which can fault mid-chain after the
+   batch: the fault then rolls the batch back to the reference's state at
+   the faulting instruction, recomputing from the chain what it charged
+   up to there (at most once per run, so nothing is precomputed).  [t.pc] is
    written on every exit from a closure chain (fault, halt, fuel, jump,
    segment exit), so an observer never sees a stale PC.  Translation
    itself touches no machine state but the [blocks_built] counter, so
@@ -149,23 +154,19 @@ let is_terminator (i : Insn.t) =
   | Mem _ | Opr _ | Fop _ -> false
 
 (* Block leaders: the segment entry, every static branch target, and the
-   instruction after each control transfer. *)
-let leaders (insns : Insn.t array) =
-  let n = Array.length insns in
-  let len4 = 4 * n in
-  let leader = Array.make n false in
-  if n > 0 then leader.(0) <- true;
-  for k = 0 to n - 1 do
-    (match insns.(k) with
-    | Insn.Br { disp = d; _ }
-    | Insn.Cbr { disp = d; _ }
-    | Insn.Fbr { disp = d; _ } ->
-        let off = (4 * (k + 1)) + (4 * d) in
-        if off >= 0 && off < len4 then leader.(off lsr 2) <- true
-    | _ -> ());
-    if is_terminator insns.(k) && k + 1 < n then leader.(k + 1) <- true
-  done;
-  leader
+   instruction after each control transfer.  [mark_leaders cs k i] marks
+   the ones instruction [i] at word [k] makes. *)
+let mark_leaders cs k (i : Insn.t) =
+  let n = Array.length cs.cs_insns in
+  if k = 0 then set_flag cs 0 leader_bit;
+  (match i with
+  | Insn.Br { disp = d; _ }
+  | Insn.Cbr { disp = d; _ }
+  | Insn.Fbr { disp = d; _ } ->
+      let t = k + 1 + d in
+      if t >= 0 && t < n then set_flag cs t leader_bit
+  | _ -> ());
+  if is_terminator i && k + 1 < n then set_flag cs (k + 1) leader_bit
 
 (* Weighted cycles of one instruction, as charged by the reference step
    (faulting instructions charge nothing: the reference raises before
@@ -194,20 +195,51 @@ let is_store (i : Insn.t) =
   | Insn.Mem { op = Stb | Stw | Stl | Stq | Stq_u | Stt; _ } -> true
   | _ -> false
 
-(* Inclusive per-chain-position prefixes of every batched counter, plus
-   the pair-model prefixes under both entry modes: the mid-chain fault
-   unwinder ([wrap_mem]) rolls the batch back to the reference's exact
-   state at an interior chain position. *)
-type fixup = {
-  fx_cyc : int array;
-  fx_loads : int array;
-  fx_stores : int array;
-  fx_calls : int array;
-  fx_cont_counts : int array;
-  fx_cont_pends : bool array;
-  fx_brk_counts : int array;
-  fx_brk_pends : bool array;
+(* What the first [m] positions of a chain charge: weighted cycles,
+   loads, stores, merged calls (a [bsr] before the chain's last
+   position), and the dual-issue pair cycles together with the pair
+   state they leave, entered with a pairable predecessor pending ([p0])
+   or not.  Across a merged branch the reference's PC-adjacency test is
+   statically decided: the next piece is adjacent only if the branch
+   targets the next word.  A block's prologue charges the whole chain;
+   a mid-chain fault charges up to and including the faulting position. *)
+type charge = {
+  ch_cyc : int;
+  ch_loads : int;
+  ch_stores : int;
+  ch_calls : int;
+  ch_pairs : int;
+  ch_pend : bool;
 }
+
+let charge (cs : code_seg) (chain : int array) m p0 =
+  let last = Array.length chain - 1 in
+  let cyc = ref 0 and loads = ref 0 and stores = ref 0 and calls = ref 0 in
+  let pairs = ref 0 and p = ref p0 and prev = ref (-2) in
+  for j = 0 to m - 1 do
+    let i = chain.(j) in
+    let insn = insn cs i in
+    cyc := !cyc + insn_cycles insn;
+    if is_load insn then incr loads;
+    if is_store insn then incr stores;
+    (match insn with
+    | Insn.Br { link = true; _ } when j < last -> incr calls
+    | _ -> ());
+    if !p && (!prev = -2 || i = !prev + 1) then p := false
+    else begin
+      incr pairs;
+      p := is_pair cs i
+    end;
+    prev := i
+  done;
+  {
+    ch_cyc = !cyc;
+    ch_loads = !loads;
+    ch_stores = !stores;
+    ch_calls = !calls;
+    ch_pairs = !pairs;
+    ch_pend = !p;
+  }
 
 (* Entries in each page TLB of [effects]; a power of two.  Over the
    benchmark matrix 16 entries miss on 1.8 % of accesses and 64 on
@@ -511,31 +543,20 @@ let effects t =
   in
   effect
 
-(* A code segment as the translators see it.  Every slot is called with
-   its own index. *)
-type seg = {
-  t : State.t;
-  cs : code_seg;
-  disp : (int -> unit) array;
-      (* block-dispatch slots: a turbo block at each leader, the
-         per-instruction closure elsewhere *)
-  fns : (int -> unit) array;  (* per-instruction slots *)
-  effect : Insn.t -> (unit -> unit) option;
-}
-
 (* Compile instruction [k] of the segment into its per-step closure: the
    reference step's bookkeeping around the instruction's [effect].
-   [fns] is the segment's (still partially filled) per-instruction array:
-   fall-through chains to the next per-step closure.  Static branch
-   targets dispatch through [disp] — the block-dispatch array — so that a
+   Fall-through chains to the next per-step closure through [fs_steps].
+   Static branch targets dispatch through [fs_disp] — the block-dispatch
+   array — so that a
    run that entered the slow path for a fuel check re-enters turbo blocks
    at the next control transfer, while a traced run is bounced straight
    back (the turbo entry re-checks the trace hook). *)
-let compile { t; cs; disp; fns; effect } k : int -> unit =
+let compile t sg k : int -> unit =
+  let { fs_code = cs; fs_disp = disp; fs_steps = fns; fs_effect = effect } = sg in
   let regs = t.regs in
   let n = Array.length cs.cs_insns in
-  let insn = cs.cs_insns.(k) in
-  let pair = Array.unsafe_get cs.cs_pair k in
+  let insn = insn cs k in
+  let pair = is_pair cs k in
   let pc = cs.cs_base + (4 * k) in
   let next = pc + 4 in
   (* fall-through continuation: chain to the next closure, or exit the
@@ -660,11 +681,11 @@ let chain_cap = 64
 (* The turbo closure for the block (superblock chain) that starts at
    leader [l] of the segment.  Called by the leader's stub on first
    entry. *)
-let build_block sg l : int -> unit =
-  let { t; cs; disp; fns; effect } = sg in
+let build_block t sg l : int -> unit =
+  let { fs_code = cs; fs_disp = disp; fs_steps = fns; fs_effect = effect } = sg in
   let regs = t.regs and fregs = t.fregs in
-  let insns = cs.cs_insns and base = cs.cs_base in
-  let n = Array.length insns in
+  let insn_at = insn cs and base = cs.cs_base in
+  let n = Array.length cs.cs_insns in
   let len4 = 4 * n in
   (* dispatch to the block starting at index [j], or exit the segment *)
   let dispatch_to j : unit -> unit =
@@ -703,15 +724,15 @@ let build_block sg l : int -> unit =
   while !stop < 0 do
     let lo = !cur in
     let e = ref lo in
-    while (not (is_terminator insns.(!e))) && !e + 1 < n do
+    while (not (is_terminator (insn_at !e))) && !e + 1 < n do
       incr e
     done;
     let e = !e in
     pieces := (lo, e) :: !pieces;
     total := !total + (e - lo + 1);
-    if not (is_terminator insns.(e)) then stop := n
+    if not (is_terminator (insn_at e)) then stop := n
     else
-      match insns.(e) with
+      match insn_at e with
       | Insn.Br { disp = d; _ } when !total < chain_cap ->
           let off = (4 * (e + 1)) + (4 * d) in
           if off >= 0 && off < len4 then cur := off lsr 2 else stop := e
@@ -733,146 +754,49 @@ let build_block sg l : int -> unit =
          incr pos
        done)
      pieces);
-  let merged_call j =
-    j < n_ins - 1
-    && match insns.(chain.(j)) with Insn.Br { link; _ } -> link | _ -> false
-  in
   let e_last = chain.(n_ins - 1) in
-  let cyc = ref 0 and nloads = ref 0 in
-  let nstores = ref 0 and ncalls_mid = ref 0 in
-  Array.iteri
-    (fun j i ->
-      cyc := !cyc + insn_cycles insns.(i);
-      if is_load insns.(i) then incr nloads;
-      if is_store insns.(i) then incr nstores;
-      if merged_call j then incr ncalls_mid)
-    chain;
-  let cyc = !cyc
-  and nloads = !nloads
-  and nstores = !nstores
-  and ncalls_mid = !ncalls_mid in
-  (* Dual-issue pair accounting over the chain, simulated at
-     translation time from both possible entry states (a pairable
-     predecessor pending, or not).  Across a merged branch the
-     reference's PC-adjacency test is statically decided: the next
-     piece is adjacent only if the branch targets the next word. *)
-  let sim_pair p0 =
-    let c = ref 0 and p = ref p0 in
-    let prev = ref (-2) in
-    List.iter
-      (fun (lo, hi) ->
-        for i = lo to hi do
-          let adjacent = !prev = -2 || i = !prev + 1 in
-          if !p && adjacent then p := false
-          else begin
-            incr c;
-            p := Array.unsafe_get cs.cs_pair i
-          end;
-          prev := i
-        done)
-      pieces;
-    (!c, !p)
-  in
-  let pc_cont, ep_cont = sim_pair true in
-  let pc_brk, ep_brk = sim_pair false in
+  (* the batch, from both possible entry states *)
+  let on_cont = charge cs chain n_ins true in
+  let on_brk = charge cs chain n_ins false in
+  let cyc = on_cont.ch_cyc and nloads = on_cont.ch_loads in
+  let nstores = on_cont.ch_stores and ncalls_mid = on_cont.ch_calls in
+  let pc_cont = on_cont.ch_pairs and ep_cont = on_cont.ch_pend in
+  let pc_brk = on_brk.ch_pairs and ep_brk = on_brk.ch_pend in
   let base_pc = base + (4 * l) in
   let last_pc = base + (4 * e_last) in
   (* A load or store can fault mid-chain, after the whole block's
-     statistics were batched.  [wrap_mem] rolls the batch back to the
-     reference's exact state — every counter charged through the
-     faulting instruction inclusive (the reference charges before the
-     access), nothing after it — so it needs the inclusive prefix of
-     each batched counter per chain position, including the pair
-     accounting under both entry modes, selected at run time by
-     [t.block_cont] (which the dispatch prologue records).  Built on
-     the chain's first memory access. *)
-  let fix =
-    lazy
-      (let p_cyc = Array.make n_ins 0
-       and p_loads = Array.make n_ins 0
-       and p_stores = Array.make n_ins 0
-       and p_calls = Array.make n_ins 0 in
-       let cc = ref 0 and cl = ref 0 and cst = ref 0 and ca = ref 0 in
-       for j = 0 to n_ins - 1 do
-         let i = chain.(j) in
-         cc := !cc + insn_cycles insns.(i);
-         if is_load insns.(i) then incr cl;
-         if is_store insns.(i) then incr cst;
-         if merged_call j then incr ca;
-         p_cyc.(j) <- !cc;
-         p_loads.(j) <- !cl;
-         p_stores.(j) <- !cst;
-         p_calls.(j) <- !ca
-       done;
-       let pair_prefix p0 =
-         let counts = Array.make n_ins 0
-         and pends = Array.make n_ins false in
-         let c = ref 0 and p = ref p0 and prev = ref (-2) in
-         for j = 0 to n_ins - 1 do
-           let i = chain.(j) in
-           let adjacent = !prev = -2 || i = !prev + 1 in
-           if !p && adjacent then p := false
-           else begin
-             incr c;
-             p := Array.unsafe_get cs.cs_pair i
-           end;
-           prev := i;
-           counts.(j) <- !c;
-           pends.(j) <- !p
-         done;
-         (counts, pends)
-       in
-       let cont_counts, cont_pends = pair_prefix true in
-       let brk_counts, brk_pends = pair_prefix false in
-       {
-         fx_cyc = p_cyc;
-         fx_loads = p_loads;
-         fx_stores = p_stores;
-         fx_calls = p_calls;
-         fx_cont_counts = cont_counts;
-         fx_cont_pends = cont_pends;
-         fx_brk_counts = brk_counts;
-         fx_brk_pends = brk_pends;
-       })
-  in
-  let wrap_mem j i (eff : unit -> unit) : unit -> unit =
-    let fx = Lazy.force fix in
-    let fx_pc = base + (4 * i) in
+     statistics were batched.  [unwind j] rolls the batch back to the
+     reference's exact state at chain position [j] — every counter
+     charged through the faulting instruction inclusive (the reference
+     charges before the access), nothing after it — with the pair
+     accounting of the entry mode [t.block_cont] records.  It is
+     computed when the fault happens, at most once per run. *)
+  let unwind j =
+    let all = if t.block_cont then on_cont else on_brk in
+    let upto = charge cs chain (j + 1) t.block_cont in
     let d_ins = n_ins - (j + 1) in
-    let d_cyc = cyc - fx.fx_cyc.(j) in
-    let d_loads = nloads - fx.fx_loads.(j) in
-    let d_stores = nstores - fx.fx_stores.(j) in
-    let d_calls = ncalls_mid - fx.fx_calls.(j) in
-    let d_pair_cont = pc_cont - fx.fx_cont_counts.(j) in
-    let d_pair_brk = pc_brk - fx.fx_brk_counts.(j) in
-    let pend_cont = fx.fx_cont_pends.(j) in
-    let pend_brk = fx.fx_brk_pends.(j) in
-    let unbatch () =
-      t.insns <- t.insns - d_ins;
-      t.cycles <- t.cycles - d_cyc;
-      t.loads <- t.loads - d_loads;
-      t.stores <- t.stores - d_stores;
-      t.calls <- t.calls - d_calls;
-      t.fuel <- t.fuel + d_ins;
-      if t.block_cont then begin
-        t.pair_cycles <- t.pair_cycles - d_pair_cont;
-        t.pending_pair <- pend_cont
-      end
-      else begin
-        t.pair_cycles <- t.pair_cycles - d_pair_brk;
-        t.pending_pair <- pend_brk
-      end;
-      t.prev_pc <- fx_pc;
-      t.pc <- fx_pc
-    in
-    fun () ->
-      try eff () with
-      | Mem.Prot { addr; access } ->
-          unbatch ();
-          raise (Faulted (Fault.Segv { addr; access; pc = fx_pc }))
-      | Mem.Limit { limit; _ } ->
-          unbatch ();
-          raise (Faulted (Fault.Mem_limit { limit; pc = fx_pc }))
+    t.insns <- t.insns - d_ins;
+    t.fuel <- t.fuel + d_ins;
+    t.cycles <- t.cycles - (all.ch_cyc - upto.ch_cyc);
+    t.loads <- t.loads - (all.ch_loads - upto.ch_loads);
+    t.stores <- t.stores - (all.ch_stores - upto.ch_stores);
+    t.calls <- t.calls - (all.ch_calls - upto.ch_calls);
+    t.pair_cycles <- t.pair_cycles - (all.ch_pairs - upto.ch_pairs);
+    t.pending_pair <- upto.ch_pend;
+    let pc = base + (4 * chain.(j)) in
+    t.prev_pc <- pc;
+    t.pc <- pc;
+    pc
+  in
+  let guard j (eff : unit -> unit) : unit -> unit =
+   fun () ->
+    try eff () with
+    | Mem.Prot { addr; access } ->
+        let pc = unwind j in
+        raise (Faulted (Fault.Segv { addr; access; pc }))
+    | Mem.Limit { limit; _ } ->
+        let pc = unwind j in
+        raise (Faulted (Fault.Mem_limit { limit; pc }))
   in
   (* the chain's architectural effects, in program order; the
      terminator's effect lives in [term] *)
@@ -880,7 +804,7 @@ let build_block sg l : int -> unit =
     List.filter_map
       (fun j ->
         let i = chain.(j) in
-        match insns.(i) with
+        match insn_at i with
         | Insn.Br { ra; _ } ->
             (* a merged branch leaves only its optional link write (its
                call count is batched into the prologue) *)
@@ -888,9 +812,9 @@ let build_block sg l : int -> unit =
             else
               let nxt64 = Int64.of_int (base + (4 * (i + 1))) in
               Some (fun () -> set regs ra nxt64)
-        | Insn.Mem { op = Lda | Ldah; _ } -> effect insns.(i)
-        | Insn.Mem _ -> Option.map (wrap_mem j i) (effect insns.(i))
-        | _ -> effect insns.(i))
+        | Insn.Mem { op = Lda | Ldah; _ } -> effect (insn_at i)
+        | Insn.Mem _ -> Option.map (guard j) (effect (insn_at i))
+        | _ -> effect (insn_at i))
       (List.init (if has_term then n_ins - 1 else n_ins) Fun.id)
   in
   let term : unit -> unit =
@@ -899,7 +823,7 @@ let build_block sg l : int -> unit =
       let e = stop in
       let pc = base + (4 * e) in
       let next = pc + 4 in
-      match insns.(e) with
+      match insn_at e with
       | Insn.Br { link; ra; disp = d } ->
           let jump = goto_block (next + (4 * d)) in
           let nxt64 = Int64.of_int next in
@@ -1077,65 +1001,77 @@ let build_block sg l : int -> unit =
       body ()
     end
 
-(* Install the stubs for every code segment of the machine; nothing is
-   compiled here.  Two stubs serve a whole segment, because a slot is
-   called with its own index: the block stub, in each leader's dispatch
-   slot, builds that leader's turbo block on first entry; the step stub,
-   in every per-instruction slot, compiles that instruction's step
-   closure on first use.  Every other dispatch slot holds the step stub
-   too, which then fills both slots: a computed jump can land mid-block,
-   and per-step closures cover those entries and rejoin the turbo blocks
-   at the next control transfer.
+(* The two slot stubs, shared by every slot of every program.  Neither
+   is a closure over anything, so filling a slot array with them costs
+   no write barrier.  A stub raises its slot's index to the driver loop,
+   which translates the slot in the segment it entered and calls the
+   translation.  Every dispatch is a tail call, so the raise abandons no
+   work: the translation continues exactly where the stub was called. *)
+exception Untranslated_step of int
+exception Untranslated_block of int
 
-   Translation is trace-aware: with a hook installed the dispatch array
-   simply is the per-instruction array (the hook must see every step),
-   and [Sim.set_trace] invalidates any cached translation.  Strict
-   alignment forces the same per-instruction path: each access then
-   checks its own address against the opcode's natural alignment, which
-   block batching could not undo cheaply. *)
+let step_stub k = raise_notrace (Untranslated_step k)
+let block_stub k = raise_notrace (Untranslated_block k)
+
+(* Compile instruction [k]'s step closure into its per-instruction slot,
+   and into its dispatch slot unless a leader's turbo block goes there:
+   a computed jump can land mid-block, and per-step closures cover those
+   entries and rejoin the turbo blocks at the next control transfer. *)
+let fill_step t sg k =
+  let f = compile t sg k in
+  sg.fs_steps.(k) <- f;
+  if not (is_leader sg.fs_code k) then sg.fs_disp.(k) <- f;
+  f
+
+(* Every dispatch slot starts as the block stub.  Translating one builds
+   the turbo block at a leader, and the step closure anywhere else. *)
+let fill_block t sg k =
+  if is_leader sg.fs_code k then begin
+    let b = build_block t sg k in
+    t.blocks_built <- t.blocks_built + 1;
+    sg.fs_disp.(k) <- b;
+    b
+  end
+  else fill_step t sg k
+
+(* Set up the machine's translation: nothing is compiled here, and every
+   slot starts as a stub.  Translation is trace-aware: with a hook
+   installed the dispatch array simply is the per-instruction array (the
+   hook must see every step), and [Sim.set_trace] invalidates any cached
+   translation.  Strict alignment forces the same per-instruction path:
+   each access then checks its own address against the opcode's natural
+   alignment, which block batching could not undo cheaply. *)
 let translate t =
   let effect = effects t in
   let per_insn =
     (match t.trace with Some _ -> true | None -> false) || t.strict_align
   in
-  let nop (_ : int) = () in
   List.map
     (fun cs ->
       let n = Array.length cs.cs_insns in
-      let fns = Array.make n nop in
-      let disp = if per_insn then fns else Array.make n nop in
-      let sg = { t; cs; disp; fns; effect } in
-      let step k =
-        let f = compile sg k in
-        fns.(k) <- f;
-        if not cs.cs_leader.(k) then disp.(k) <- f;
-        f k
-      in
-      let block k =
-        let b = build_block sg k in
-        t.blocks_built <- t.blocks_built + 1;
-        disp.(k) <- b;
-        b k
-      in
-      Array.fill fns 0 n step;
-      if not per_insn then
-        Array.iteri
-          (fun k leader -> disp.(k) <- (if leader then block else step))
-          cs.cs_leader;
-      { fs_base = cs.cs_base; fs_len = 4 * n; fs_fns = disp })
+      let steps = Array.make n step_stub in
+      let disp = if per_insn then steps else Array.make n block_stub in
+      { fs_code = cs; fs_disp = disp; fs_steps = steps; fs_effect = effect })
     t.code
 
 let run ~max_insns t =
   (match t.fast with [] -> t.fast <- translate t | _ :: _ -> ());
   let segs = t.fast in
+  (* call slot [k] of [sg]; a stub the call reaches is translated here *)
+  let rec call sg (f : int -> unit) k =
+    match f k with
+    | () -> ()
+    | exception Untranslated_block j -> call sg (fill_block t sg j) j
+    | exception Untranslated_step j -> call sg (fill_step t sg j) j
+  in
   (* run the slot that holds [pc], as the reference fetch locates it *)
   let rec enter pc = function
     | [] -> raise (Faulted (Fault.Bad_pc { pc }))
-    | fs :: rest ->
-        let off = pc - fs.fs_base in
-        if off >= 0 && off < fs.fs_len && off land 3 = 0 then
+    | sg :: rest ->
+        let off = pc - sg.fs_code.cs_base in
+        if off >= 0 && off < 4 * Array.length sg.fs_disp && off land 3 = 0 then
           let k = off lsr 2 in
-          (Array.unsafe_get fs.fs_fns k) k
+          call sg (Array.unsafe_get sg.fs_disp k) k
         else enter pc rest
   in
   t.fuel <- max_insns;

@@ -26,11 +26,14 @@ val insn_cycles : Alpha.Insn.t -> int
     WCET layer uses it as the per-block cost function so that static
     bounds and measured [st_cycles] are in the same unit. *)
 
-val leaders : Alpha.Insn.t array -> bool array
-(** The basic-block leaders of a code segment: its first instruction,
-    every in-segment static branch target, and each instruction after a
-    control transfer.  The engine builds a turbo block at a leader the
-    first time control enters it. *)
+val mark_leaders : State.code_seg -> int -> Alpha.Insn.t -> unit
+(** [mark_leaders cs k i] sets {!State.leader_bit} on the basic-block
+    leaders that instruction [i], word [k] of [cs], makes: word 0, the
+    word after a control transfer, and the target of an in-segment
+    static branch.  Called on every word of a segment, it marks exactly
+    the segment's leaders; [Sim.prepare] does so in the one pass that
+    decodes each word without keeping it.  The engine builds a turbo
+    block at a leader the first time control enters it. *)
 
 val tlb_size : int
 (** Entries in each of the engine's two direct-mapped page TLBs, one for

@@ -3,13 +3,6 @@ open State
 
 type t = State.t
 
-type code_seg = State.code_seg = {
-  cs_base : int;
-  cs_insns : Insn.t array;
-  cs_pair : bool array;
-  cs_leader : bool array;
-}
-
 type stats = State.stats = {
   st_insns : int;
   st_cycles : int;
@@ -54,11 +47,11 @@ let default_brk_span = 1 lsl 30 (* brk may roam 1 GiB above the break *)
 let default_max_insns = 1_000_000_000
 let insn_cycles = Exec.insn_cycles
 
-(* An executable prepared for execution: decoded code segments, dual-issue
-   pair tables, block leaders and the protection region list, none of
-   which depend on a particular run.  Preparing once and starting many
-   machines from the same image is what makes a serving process cheap per
-   run: thousands of runs share one parse/decode. *)
+(* An executable prepared for execution: code segments with their
+   dual-issue pair bits and block leaders, and the protection region
+   list, none of which depend on a particular run.  Preparing once and
+   starting many machines from the same image is what makes a serving
+   process cheap per run: thousands of runs share one parse. *)
 type image = {
   im_exe : Objfile.Exe.t;
   im_code : code_seg list;
@@ -68,31 +61,41 @@ type image = {
   im_break : int;
 }
 
+(* Whether an aligned pair [a], [b] dual-issues: class-compatible, and
+   [b] consumes no result of [a]. *)
+let pairs a b =
+  Cost.can_pair (Cost.classify a) (Cost.classify b)
+  && Regset.is_empty (Regset.inter (Insn.defs a) (Insn.uses b))
+
+(* One pass over the words finds the pair bits and the leaders.  It
+   decodes each word but keeps no instruction: most of an image's code
+   never runs, and {!State.insn} decodes what does on first use. *)
+let prepare_seg base bytes =
+  let n = Bytes.length bytes / 4 in
+  let cs =
+    {
+      cs_base = base;
+      cs_words = bytes;
+      cs_insns = Array.make n undecoded;
+      cs_flags = Bytes.make n '\000';
+    }
+  in
+  let prev = ref undecoded in
+  for k = 0 to n - 1 do
+    let i = Code.decode_at bytes (4 * k) in
+    Exec.mark_leaders cs k i;
+    if k > 0 && ((base / 4) + k - 1) land 1 = 0 && pairs !prev i then
+      set_flag cs (k - 1) pair_bit;
+    prev := i
+  done;
+  cs
+
 let prepare exe =
   let code =
     List.filter_map
       (fun seg ->
-        if seg.Objfile.Exe.seg_vaddr < exe.Objfile.Exe.x_data_start then begin
-          let b = seg.Objfile.Exe.seg_bytes in
-          let n = Bytes.length b / 4 in
-          let insns = Array.init n (fun i -> Code.decode_at b (i * 4)) in
-          let base_word = seg.Objfile.Exe.seg_vaddr / 4 in
-          let pair =
-            Array.init n (fun i ->
-                (base_word + i) land 1 = 0
-                && i + 1 < n
-                && Cost.can_pair (Cost.classify insns.(i)) (Cost.classify insns.(i + 1))
-                && Regset.is_empty
-                     (Regset.inter (Insn.defs insns.(i)) (Insn.uses insns.(i + 1))))
-          in
-          Some
-            {
-              cs_base = seg.Objfile.Exe.seg_vaddr;
-              cs_insns = insns;
-              cs_pair = pair;
-              cs_leader = Exec.leaders insns;
-            }
-        end
+        if seg.Objfile.Exe.seg_vaddr < exe.Objfile.Exe.x_data_start then
+          Some (prepare_seg seg.Objfile.Exe.seg_vaddr seg.Objfile.Exe.seg_bytes)
         else None)
       exe.Objfile.Exe.x_segs
   in
@@ -188,10 +191,14 @@ let fetch t pc =
           if t.pending_pair && pc = t.prev_pc + 4 then t.pending_pair <- false
           else begin
             t.pair_cycles <- t.pair_cycles + 1;
-            t.pending_pair <- Array.unsafe_get cs.cs_pair idx
+            (* [State.is_pair] and [State.insn], without a call on the
+               hot path *)
+            t.pending_pair <-
+              Char.code (Bytes.unsafe_get cs.cs_flags idx) land pair_bit <> 0
           end;
           t.prev_pc <- pc;
-          Array.unsafe_get cs.cs_insns idx
+          let i = Array.unsafe_get cs.cs_insns idx in
+          if i != undecoded then i else insn cs idx
         end
         else go rest
   in
@@ -355,9 +362,22 @@ let stats t =
     st_syscalls = t.syscalls;
   }
 
-let blocks_translated t =
-  let count = Array.fold_left (fun c l -> if l then c + 1 else c) in
-  (t.blocks_built, List.fold_left (fun c cs -> count c cs.cs_leader) 0 t.code)
+(* how many words of the machine's code satisfy [p] *)
+let count_words p =
+  List.fold_left
+    (fun c cs ->
+      let c = ref c in
+      for k = 0 to Array.length cs.cs_insns - 1 do
+        if p cs k then incr c
+      done;
+      !c)
+    0
+
+let blocks_translated t = (t.blocks_built, count_words is_leader t.code)
+
+let words_decoded t =
+  ( count_words (fun cs k -> Array.unsafe_get cs.cs_insns k != undecoded) t.code,
+    List.fold_left (fun c cs -> c + Array.length cs.cs_insns) 0 t.code )
 
 let engine t = t.engine
 let vfs t = t.vfs

@@ -9,10 +9,15 @@
     in [$v0], arguments in [$a0]..[$a2], result in [$v0] and an error flag
     in [$a3].  Numbers: exit 1, read 3, write 4, close 6, brk 17, open 45.
 
-    Code is predecoded per executable segment (any segment based below the
-    data segment), so the inner loop never re-decodes instructions.
+    Code is decoded lazily per executable segment (any segment based
+    below the data segment): {!prepare} scans each word once for the
+    facts a run needs before it starts and keeps no instruction, and an
+    instruction is decoded the first time either engine fetches or
+    translates it, then kept in the image for every later run.  Most of
+    an image's code — the analysis module and the runtime library ATOM
+    links into it — never runs.
 
-    Two engines execute the predecoded stream.  [Ref] is the reference
+    Two engines execute the code.  [Ref] is the reference
     interpreter in this module: a decode-then-dispatch loop that serves as
     the executable specification.  [Fast] (the default) is {!Exec}'s
     closure-compiled engine: each basic block is translated, the first
@@ -68,19 +73,32 @@ val engine_of_string : string -> engine option
     ["ref"]/["reference"] or ["fast"]/["closure"]. *)
 
 type image
-(** An executable prepared for execution: decoded code segments,
-    dual-issue pair tables, basic-block leaders and the protection region
-    list — everything about a run that does {e not} depend on the run.
-    Prepare once, then {!start} any number of machines (concurrently, from
-    any domain): a serving process runs one loaded image thousands of
-    times without re-parsing it.  The image is immutable; per-run state
-    (memory, VFS, registers, statistics) lives in {!t}, and so do the fast
-    engine's translations, which each machine builds block by block as
-    its run first enters them. *)
+(** An executable prepared for execution: its code segments with a
+    dual-issue pair bit and a basic-block leader bit per word, and the
+    protection region list — everything about a run that does {e not}
+    depend on the run.  Prepare once, then {!start} any number of
+    machines (concurrently, from any domain): a serving process runs one
+    loaded image thousands of times without re-parsing it.  Per-run state
+    (memory, VFS, registers, statistics) lives in {!t}, and so do the
+    fast engine's translations, which each machine builds block by block
+    as its run first enters them.
+
+    The image's one mutable part is its decoded instructions, each
+    stored on first use.  Machines in several domains may decode the
+    same word at once without a lock: each stores an equal, immutable
+    instruction, and OCaml 5's memory model lets a racing reader see
+    either the placeholder of an undecoded word (and decode the word
+    itself) or a fully built instruction, never a partly built one.  The
+    image keeps the executable and reads its segment bytes at every
+    {!start} and on every first decode, so they must not be mutated
+    after [prepare]. *)
 
 val prepare : Objfile.Exe.t -> image
-(** Decode the executable's code segments and derive its protection
-    regions.  This is the expensive, shareable half of the old [load]. *)
+(** Find the dual-issue pair bits and the basic-block leaders of the
+    executable's code segments, in one pass that decodes each word
+    without keeping it, and derive its protection regions.  The image
+    starts out holding about one heap word per code word; each word a
+    run later decodes adds its instruction. *)
 
 val image_exe : image -> Objfile.Exe.t
 (** The executable the image was prepared from. *)
@@ -167,6 +185,13 @@ val blocks_translated : t -> int * int
     enters its leader, so [built] counts the blocks reached.  It is 0 on
     the reference engine, and it does not grow while every instruction
     runs singly (a trace hook is installed, or [strict_align] is on). *)
+
+val words_decoded : t -> int * int
+(** [(decoded, words)]: how many of the code words of the machine's image
+    have been decoded so far, and how many it has.  A word is decoded the
+    first time a run on either engine fetches or translates it, so this
+    counts the code reached by every machine started from the image, not
+    only this one. *)
 
 val engine : t -> engine
 val vfs : t -> Vfs.t

@@ -2,20 +2,51 @@ open Alpha
 
 type code_seg = {
   cs_base : int;
+  cs_words : bytes;  (* the segment's bytes, as the executable holds them *)
   cs_insns : Insn.t array;
-  cs_pair : bool array;
-      (* cs_pair.(i): instruction i sits on an even word boundary, may
-         dual-issue with instruction i+1 (21064 aligned-pair rule), and
-         i+1 does not consume a result of i *)
-  cs_leader : bool array;
-      (* cs_leader.(i): instruction i starts a basic block, where the fast
-         engine builds a turbo block on first entry *)
+      (* cs_insns.(i): instruction i, decoded on first use; [undecoded]
+         until then *)
+  cs_flags : bytes;
+      (* per instruction: [pair_bit] when it sits on an even word
+         boundary, may dual-issue with instruction i+1 (21064
+         aligned-pair rule) and i+1 does not consume a result of it;
+         [leader_bit] when it starts a basic block, where the fast engine
+         builds a turbo block on first entry *)
 }
 
-(* A code segment translated by {!Exec}: one [int -> unit] per
-   instruction word, indexed exactly like [cs_insns] and called with its
-   own index. *)
-type fast_seg = { fs_base : int; fs_len : int; fs_fns : (int -> unit) array }
+let undecoded = Insn.Raw (-1)
+let pair_bit = 1
+let leader_bit = 2
+
+let insn cs k =
+  let i = Array.unsafe_get cs.cs_insns k in
+  if i != undecoded then i
+  else begin
+    (* a racing domain may decode the same word: both store equal,
+       immutable values, so either store may win *)
+    let i = Code.decode_at cs.cs_words (4 * k) in
+    Array.unsafe_set cs.cs_insns k i;
+    i
+  end
+
+let flag cs k bit = Char.code (Bytes.unsafe_get cs.cs_flags k) land bit <> 0
+
+let set_flag cs k bit =
+  Bytes.unsafe_set cs.cs_flags k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get cs.cs_flags k) lor bit))
+
+let is_pair cs k = flag cs k pair_bit
+let is_leader cs k = flag cs k leader_bit
+
+(* A code segment as {!Exec} translates it: two slot arrays indexed
+   like [cs_insns], each slot called with its own index, and the
+   machine's effect translator. *)
+type fast_seg = {
+  fs_code : code_seg;
+  fs_disp : (int -> unit) array;
+  fs_steps : (int -> unit) array;
+  fs_effect : Insn.t -> (unit -> unit) option;
+}
 
 type stats = {
   st_insns : int;

@@ -9,14 +9,53 @@ open Alpha
 
 type code_seg = {
   cs_base : int;
+  cs_words : bytes;  (** the segment's bytes, as the executable holds them *)
   cs_insns : Insn.t array;
-  cs_pair : bool array;
-  cs_leader : bool array;
+      (** decoded instructions, filled on first use by {!insn}: a slot
+          holds {!undecoded} until then *)
+  cs_flags : bytes;
+      (** one byte per instruction: {!pair_bit} and {!leader_bit} *)
 }
+(** A code segment of a prepared image.  It is shared by every machine
+    started from the image, from any domain.  Its only mutation is
+    {!insn} filling [cs_insns]; two domains that race on a slot store
+    equal immutable values, and OCaml 5 lets a racing reader see either
+    the placeholder or a fully built instruction, never a torn one. *)
 
-type fast_seg = { fs_base : int; fs_len : int; fs_fns : (int -> unit) array }
-(** A code segment translated by {!Exec}: [fs_fns.(k)] runs the code at
-    word [k] and is always called with [k]. *)
+val undecoded : Insn.t
+(** The placeholder of an instruction not decoded yet, compared
+    physically; no decoded word is physically equal to it. *)
+
+val insn : code_seg -> int -> Insn.t
+(** [insn cs k]: instruction [k] of the segment, decoded from
+    [cs_words] the first time it is asked for. *)
+
+val pair_bit : int
+(** Instruction [k] sits on an even word boundary, may dual-issue with
+    instruction [k + 1] (the 21064 aligned-pair rule), and [k + 1] does
+    not consume a result of [k]. *)
+
+val leader_bit : int
+(** Instruction [k] starts a basic block, where the fast engine builds a
+    turbo block on first entry. *)
+
+val set_flag : code_seg -> int -> int -> unit
+val is_pair : code_seg -> int -> bool
+val is_leader : code_seg -> int -> bool
+
+type fast_seg = {
+  fs_code : code_seg;
+  fs_disp : (int -> unit) array;
+      (** block dispatch: [fs_disp.(k)] runs the code at word [k] and is
+          always called with [k] *)
+  fs_steps : (int -> unit) array;
+      (** per-instruction closures, called alike; under per-instruction
+          translation this is [fs_disp] itself *)
+  fs_effect : Insn.t -> (unit -> unit) option;
+      (** the machine's effect translator, shared by the segment's
+          translations *)
+}
+(** A code segment as {!Exec} translates it. *)
 
 type stats = {
   st_insns : int;

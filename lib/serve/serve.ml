@@ -79,9 +79,9 @@ exception Request_error of string
 
 let reject fmt = Printf.ksprintf (fun m -> raise (Request_error m)) fmt
 
-(* resolve a request's executable: inline bytes are parsed (and, for
-   runs, registered so later requests can refer to the digest), a digest
-   must already be in the registry *)
+(* resolve a request's executable: inline bytes whose digest is not
+   registered yet are parsed, prepared and registered, so later requests
+   can refer to the digest; a digest must already be in the registry *)
 let resolve_image t (r : Protocol.image_ref) =
   match r with
   | Protocol.Inline bytes ->
@@ -190,12 +190,7 @@ let handle_request t = function
   | Protocol.Run { image; stdin; ceilings; engine } ->
       handle_run t ~image ~stdin ~ceilings ~engine
   | Protocol.Load_image bytes ->
-      let exe =
-        try Objfile.Exe.of_string bytes
-        with e -> reject "bad image: %s" (Printexc.to_string e)
-      in
-      let digest = digest_hex bytes in
-      registry_add t digest (Machine.Sim.prepare exe, bytes);
+      let digest, _im = resolve_image t (Protocol.Inline bytes) in
       Protocol.Loaded { digest }
   | Protocol.Stats -> handle_stats t
   | Protocol.Shutdown ->

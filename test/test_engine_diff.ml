@@ -426,12 +426,9 @@ let test_alloc_per_insn name () =
     Alcotest.failf "%s: %.3f minor words per instruction (limit 0.05)" name
       per_insn
 
-(* Installing the stubs: one instruction of a run of qsort instrumented
-   with the trace tool, whose first entry installs a stub in every slot
-   of every code segment.  This pins "no closure per code word": a
-   segment's two slot arrays, once longer than 256 words, are allocated
-   in the major heap, which [Gc.minor_words] does not count. *)
-let test_alloc_per_word () =
+(* qsort instrumented with the trace tool (11 446 code words), and its
+   number of code words *)
+let qsort_trace () =
   let exe = Workloads.compile (Option.get (Workloads.find "qsort")) in
   let exe, _ = Tools.Tool.apply (Option.get (Tools.Registry.find "trace")) exe in
   let words =
@@ -442,6 +439,15 @@ let test_alloc_per_word () =
         else acc)
       0 exe.Objfile.Exe.x_segs
   in
+  (exe, words)
+
+(* Installing the stubs: one instruction of a run of qsort instrumented
+   with the trace tool, whose first entry installs a stub in every slot
+   of every code segment.  This pins "no closure per code word": a
+   segment's two slot arrays, once longer than 256 words, are allocated
+   in the major heap, which [Gc.minor_words] does not count. *)
+let test_alloc_per_word () =
+  let exe, words = qsort_trace () in
   let m = Machine.Sim.start ~engine:Machine.Sim.Fast (Machine.Sim.prepare exe) in
   let o, allocated = minor_words (fun () -> Machine.Sim.run ~max_insns:1 m) in
   if o <> Machine.Sim.Out_of_fuel then
@@ -451,6 +457,64 @@ let test_alloc_per_word () =
     Alcotest.failf
       "qsort/trace: %.2f minor words per code word over %d words (limit 1)"
       per_word words
+
+(* What preparing keeps: the words [Sim.prepare] leaves in the major heap,
+   counted as [Gc.counters] major words (which include promotions) around
+   it, each side after a minor collection.  An image that kept a decoded
+   instruction per code word would hold about 8 words per code word. *)
+let test_prepare_keeps () =
+  let exe, words = qsort_trace () in
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let im = Machine.Sim.prepare exe in
+  Gc.minor ();
+  let _, _, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity im);
+  let per_word = (major1 -. major0) /. float_of_int words in
+  if per_word >= 4.0 then
+    Alcotest.failf
+      "qsort/trace: prepare keeps %.2f major words per code word over %d \
+       words (limit 4)"
+      per_word words
+
+(* -- one prepared image, two domains --------------------------------------- *)
+
+(* An image decodes each instruction the first time a run needs it, so
+   machines started from one image in several domains at once race to
+   decode the same words.  Two domains run the same kind of run on a
+   freshly prepared image of qsort under trace at the same time; each
+   must see exactly what the run alone sees on an image of its own: the
+   same outcome, statistics, stdout and, for the traced run, trace
+   stream. *)
+
+let shared_budget = 3_000_000
+
+let run_shared (engine, traced) im =
+  let m = Machine.Sim.start ~engine im in
+  let stream = ref 0 in
+  if traced then
+    Machine.Sim.set_trace m (fun pc insn ->
+        stream := Hashtbl.hash (!stream, pc, Hashtbl.hash insn));
+  let o = Machine.Sim.run ~max_insns:shared_budget m in
+  (o, Machine.Sim.stats m, Machine.Sim.stdout m, !stream)
+
+let test_shared_image mode () =
+  let exe, _ = qsort_trace () in
+  let alone = run_shared mode (Machine.Sim.prepare exe) in
+  let im = Machine.Sim.prepare exe in
+  let other = Domain.spawn (fun () -> run_shared mode im) in
+  let here = run_shared mode im in
+  let there = Domain.join other in
+  List.iter
+    (fun (side, (o, st, out, stream)) ->
+      let o', st', out', stream' = alone in
+      if o <> o' then
+        Alcotest.failf "%s: outcome %s, alone %s" side (outcome_str o)
+          (outcome_str o');
+      if st <> st' then Alcotest.failf "%s: statistics differ" side;
+      if out <> out' then Alcotest.failf "%s: stdout differs" side;
+      if stream <> stream' then Alcotest.failf "%s: trace stream differs" side)
+    [ ("spawned domain", there); ("main domain", here) ]
 
 let () =
   Alcotest.run "engine-diff"
@@ -490,5 +554,16 @@ let () =
             (test_alloc_per_insn "nbody");
           Alcotest.test_case "qsort/trace: none per installed code word" `Quick
             test_alloc_per_word;
+          Alcotest.test_case "qsort/trace: prepare keeps under 4 words per code word"
+            `Quick test_prepare_keeps;
+        ] );
+      ( "shared image",
+        [
+          Alcotest.test_case "two domains, fast" `Quick
+            (test_shared_image (Machine.Sim.Fast, false));
+          Alcotest.test_case "two domains, ref" `Quick
+            (test_shared_image (Machine.Sim.Ref, false));
+          Alcotest.test_case "two domains, traced" `Quick
+            (test_shared_image (Machine.Sim.Fast, true));
         ] );
     ]

@@ -227,6 +227,20 @@ let test_ceilings () =
       Alcotest.(check bool) "errors were counted" true
         (s.Serve.Protocol.sr_errors >= 1))
 
+(* loading bytes whose digest is already registered returns that digest
+   and registers nothing new *)
+let test_load_twice () =
+  let exe_bytes = Objfile.Exe.to_string (Workloads.compile (workload "cover")) in
+  with_server (fun sock _t ->
+      let c = Serve.Client.connect sock in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let first = Serve.Client.load_image c exe_bytes in
+      let images = (Serve.Client.stats c).Serve.Protocol.sr_images in
+      let second = Serve.Client.load_image c exe_bytes in
+      Alcotest.(check string) "same digest" first second;
+      Alcotest.(check int) "no new image" images
+        (Serve.Client.stats c).Serve.Protocol.sr_images)
+
 (* -- toolcache regressions (satellites) ---------------------------------- *)
 
 (* digesting a stream of distinct executables must not retain them: the
@@ -289,6 +303,8 @@ let () =
           Alcotest.test_case "persistent store, daemon restart" `Quick
             test_persistent_store;
           Alcotest.test_case "fail-closed ceilings" `Quick test_ceilings;
+          Alcotest.test_case "identical bytes loaded twice" `Quick
+            test_load_twice;
         ] );
       ( "toolcache",
         [
