@@ -2,9 +2,9 @@
 
    Figure 5 - time for ATOM to instrument the benchmark suite with each
    registered tool (host wall-clock; the paper measured seconds on an
-   Alpha 3000/400 over 20 SPEC92 programs).  Measured under three
-   pipelines — pre-overhaul reference, fast with cold caches, fast with
-   warm caches — with every instrumented image byte-compared across all
+   Alpha 3000/400 over 20 SPEC92 programs).  Measured in three cache
+   states — emptied before every call, one sweep from empty, the sweep
+   again warm — with every instrumented image byte-compared across all
    three before timings are reported; results go to BENCH_atom.json.
 
    Figure 6 - execution-time ratio of instrumented vs uninstrumented
@@ -31,10 +31,8 @@
    asserts the static bound dominates the measured cycles for every
    workload on both engines; writes BENCH_wcet.json.
 
-   Usage: main.exe
-     [fig5 [--smoke] [--cold]|fig6|ablations|verify|bechamel [--cold]|
-      quick|perf [--smoke] [--min-speedup X]|faults [--smoke]|
-      wcet [--smoke]|all]  *)
+   Usage: see [usage] at the end of this file.  A [--smoke] run writes
+   BENCH_<name>.smoke.json instead of the committed baseline. *)
 
 let time_it fn =
   let t0 = Unix.gettimeofday () in
@@ -42,6 +40,19 @@ let time_it fn =
   (r, Unix.gettimeofday () -. t0)
 
 let hrule width = print_endline (String.make width '-')
+
+(* the named workloads and tools, in suite order *)
+let workloads_named names =
+  List.filter (fun w -> List.mem w.Workloads.w_name names) Workloads.all
+
+let tools_named names =
+  List.filter (fun t -> List.mem t.Tools.Tool.name names) Tools.Registry.all
+
+(* Where a verb writes its results: a full run replaces the committed
+   baseline [BENCH_<name>.json]; a [--smoke] run writes
+   [BENCH_<name>.smoke.json] beside it, which git ignores. *)
+let bench_path ~smoke name =
+  Printf.sprintf "BENCH_%s%s.json" name (if smoke then ".smoke" else "")
 
 (* -- shared runs -------------------------------------------------------- *)
 
@@ -107,40 +118,30 @@ let json_escape s =
 
 type fig5_row = {
   f_tool : string;
-  f_ref_secs : float;  (* pre-overhaul pipeline, no caches *)
-  f_cold_secs : float;  (* fast pipeline starting from empty caches *)
-  f_warm_secs : float;  (* fast pipeline with the caches already populated *)
+  f_first_secs : float;  (* caches emptied before every call *)
+  f_cold_secs : float;  (* one sweep starting from empty caches *)
+  f_warm_secs : float;  (* the sweep again, caches populated *)
   f_diverged : string list;  (* workloads whose images were not byte-identical *)
 }
 
 (* Figure 5, measured three ways per tool over the workload suite:
 
-     ref   the pre-overhaul pipeline ([pipeline = Ref]: list-scan symbol
-           lookups, dense liveness fixpoint, no caches) — the baseline the
-           speedup is quoted against;
-     cold  the fast pipeline starting from empty toolchain caches;
-     warm  the fast pipeline again, caches populated by the cold sweep.
+     first  the toolchain caches are emptied before every call, so each
+            instrumentation pays the whole cost of a first call;
+     cold   one sweep starting from empty caches: later workloads reuse
+            what earlier ones prepared for the tool;
+     warm   the sweep again, caches populated by the cold sweep.
 
    Every (tool, workload) cell byte-compares all three instrumented
-   images; any divergence fails the run (exit 1) after BENCH_atom.json
-   is written.  [--smoke] shrinks the matrix for CI; [--cold] empties
-   the caches before *every* instrumentation call in the fast sweeps, so
-   both fast columns report cold-start cost (pure algorithmic speedup,
-   no cache reuse). *)
-let fig5 ?(smoke = false) ?(cold = false) () =
+   images; any divergence fails the run (exit 1) after the results are
+   written.  [--smoke] shrinks the matrix for CI. *)
+let fig5 ?(smoke = false) () =
   let workloads =
-    if smoke then
-      List.filter
-        (fun w -> List.mem w.Workloads.w_name [ "sieve"; "qsort"; "cells" ])
-        Workloads.all
+    if smoke then workloads_named [ "sieve"; "qsort"; "cells" ]
     else Workloads.all
   in
   let tools =
-    if smoke then
-      List.filter
-        (fun t -> List.mem t.Tools.Tool.name [ "branch"; "malloc" ])
-        Tools.Registry.all
-    else Tools.Registry.all
+    if smoke then tools_named [ "branch"; "malloc" ] else Tools.Registry.all
   in
   print_endline "";
   print_endline
@@ -148,14 +149,13 @@ let fig5 ?(smoke = false) ?(cold = false) () =
   print_endline
     "(paper: 20 SPEC92 programs on an Alpha 3000/400; here: the workload";
   print_endline "stand-ins on the host machine; shape, not seconds, is comparable)";
-  Printf.printf
-    "ref = pre-overhaul pipeline, cold = fast pipeline from empty caches,\n";
-  Printf.printf "warm = fast pipeline with populated caches%s\n"
-    (if cold then " (--cold: caches emptied before every call)" else "");
+  print_endline
+    "first = caches emptied before every call, cold = one sweep from empty";
+  print_endline "caches, warm = the sweep again with populated caches";
   print_endline "";
-  Printf.printf "%-9s %-34s %8s %8s %8s %8s %9s\n" "Tool" "Description"
-    "ref(s)" "cold(s)" "warm(s)" "speedup" "paper(s)";
-  hrule 92;
+  Printf.printf "%-9s %-34s %8s %8s %8s %9s\n" "Tool" "Description"
+    "first(s)" "cold(s)" "warm(s)" "paper(s)";
+  hrule 82;
   let exes =
     List.map (fun w -> (w.Workloads.w_name, Workloads.compile w)) workloads
   in
@@ -164,51 +164,45 @@ let fig5 ?(smoke = false) ?(cold = false) () =
       (fun tool ->
         (* The timed region covers instrumentation only; serialisation
            for the byte-identity check happens outside it. *)
-        let sweep ~pipeline ~pre () =
+        let sweep ~pre () =
           let imgs, dt =
             time_it (fun () ->
                 List.map
                   (fun (_, exe) ->
                     pre ();
-                    fst (Tools.Tool.apply ~pipeline tool exe))
+                    fst (Tools.Tool.apply tool exe))
                   exes)
           in
           (List.map Objfile.Exe.to_string imgs, dt)
         in
-        let nop () = () in
-        let fast_pre = if cold then clear_toolchain_caches else nop in
-        let ref_imgs, ref_t = sweep ~pipeline:Atom.Instrument.Ref ~pre:nop () in
+        let first_imgs, first_t = sweep ~pre:clear_toolchain_caches () in
         clear_toolchain_caches ();
-        let cold_imgs, cold_t =
-          sweep ~pipeline:Atom.Instrument.Fast ~pre:fast_pre ()
-        in
-        let warm_imgs, warm_t =
-          sweep ~pipeline:Atom.Instrument.Fast ~pre:fast_pre ()
-        in
+        let cold_imgs, cold_t = sweep ~pre:ignore () in
+        let warm_imgs, warm_t = sweep ~pre:ignore () in
         let diverged =
           List.concat
             (List.map2
-               (fun (name, _) (r, (c, w)) ->
-                 if r = c && r = w then [] else [ name ])
+               (fun (name, _) (f, (c, w)) ->
+                 if f = c && f = w then [] else [ name ])
                exes
-               (List.combine ref_imgs (List.combine cold_imgs warm_imgs)))
+               (List.combine first_imgs (List.combine cold_imgs warm_imgs)))
         in
         List.iter
           (fun name ->
             Printf.printf
-              "FAIL %s/%s: instrumented images differ between pipelines\n%!"
+              "FAIL %s/%s: instrumented images differ between cache states\n%!"
               tool.Tools.Tool.name name)
           diverged;
-        Printf.printf "%-9s %-34s %8.3f %8.3f %8.3f %7.2fx %9.2f\n%!"
-          tool.Tools.Tool.name tool.Tools.Tool.description ref_t cold_t warm_t
-          (ref_t /. warm_t) tool.Tools.Tool.paper_avg_instr_secs;
-        { f_tool = tool.Tools.Tool.name; f_ref_secs = ref_t;
+        Printf.printf "%-9s %-34s %8.3f %8.3f %8.3f %9.2f\n%!"
+          tool.Tools.Tool.name tool.Tools.Tool.description first_t cold_t
+          warm_t tool.Tools.Tool.paper_avg_instr_secs;
+        { f_tool = tool.Tools.Tool.name; f_first_secs = first_t;
           f_cold_secs = cold_t; f_warm_secs = warm_t; f_diverged = diverged })
       tools
   in
-  hrule 92;
+  hrule 82;
   let tot f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
-  let tot_ref = tot (fun r -> r.f_ref_secs) in
+  let tot_first = tot (fun r -> r.f_first_secs) in
   let tot_cold = tot (fun r -> r.f_cold_secs) in
   let tot_warm = tot (fun r -> r.f_warm_secs) in
   let divergences =
@@ -228,17 +222,15 @@ let fig5 ?(smoke = false) ?(cold = false) () =
   in
   Printf.printf "slowest to instrument: %s (paper: pipe)\n" (fst slowest);
   Printf.printf "fastest to instrument: %s (paper: malloc)\n" (fst fastest);
-  Printf.printf
-    "aggregate: ref %.3fs  cold %.3fs (%.2fx)  warm %.3fs (%.2fx)\n"
-    tot_ref tot_cold (tot_ref /. tot_cold) tot_warm (tot_ref /. tot_warm);
+  Printf.printf "aggregate: first %.3fs  cold %.3fs  warm %.3fs\n" tot_first
+    tot_cold tot_warm;
   Printf.printf "toolchain cache: %d hits, %d misses, %d entries\n"
     (Atom.Toolcache.hits ()) (Atom.Toolcache.misses ())
     (Atom.Toolcache.size ());
   (* hand-rolled JSON: the harness has no JSON dependency *)
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"schema\": \"atom-bench-instrument/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"cold\": %b,\n" smoke cold);
+  Buffer.add_string buf "{\n  \"schema\": \"atom-bench-instrument/2\",\n";
+  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
   Buffer.add_string buf
     (Printf.sprintf "  \"workloads\": %d,\n" (List.length workloads));
   Buffer.add_string buf "  \"rows\": [\n";
@@ -246,21 +238,18 @@ let fig5 ?(smoke = false) ?(cold = false) () =
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"tool\": \"%s\", \"ref_secs\": %.6f, \"cold_secs\": %.6f, \
-            \"warm_secs\": %.6f, \"speedup_cold\": %.3f, \"speedup_warm\": \
-            %.3f, \"diverged\": %d}%s\n"
-           (json_escape r.f_tool) r.f_ref_secs r.f_cold_secs r.f_warm_secs
-           (r.f_ref_secs /. r.f_cold_secs)
-           (r.f_ref_secs /. r.f_warm_secs)
+           "    {\"tool\": \"%s\", \"first_secs\": %.6f, \"cold_secs\": %.6f, \
+            \"warm_secs\": %.6f, \"diverged\": %d}%s\n"
+           (json_escape r.f_tool) r.f_first_secs r.f_cold_secs r.f_warm_secs
            (List.length r.f_diverged)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"aggregate\": {\"ref_secs\": %.6f, \"cold_secs\": %.6f, \
-        \"warm_secs\": %.6f, \"speedup_cold\": %.3f, \"speedup_warm\": %.3f},\n"
-       tot_ref tot_cold tot_warm (tot_ref /. tot_cold) (tot_ref /. tot_warm));
+       "  \"aggregate\": {\"first_secs\": %.6f, \"cold_secs\": %.6f, \
+        \"warm_secs\": %.6f},\n"
+       tot_first tot_cold tot_warm);
   Buffer.add_string buf
     (Printf.sprintf
        "  \"cache\": {\"hits\": %d, \"misses\": %d, \"entries\": %d},\n"
@@ -268,12 +257,13 @@ let fig5 ?(smoke = false) ?(cold = false) () =
        (Atom.Toolcache.size ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"divergences\": %d\n}\n" divergences);
-  let oc = open_out "BENCH_atom.json" in
+  let path = bench_path ~smoke "atom" in
+  let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  Printf.printf "wrote BENCH_atom.json (%d rows)\n" (List.length rows);
+  Printf.printf "wrote %s (%d rows)\n" path (List.length rows);
   if divergences > 0 then begin
-    Printf.printf "%d image divergence(s) between pipelines\n" divergences;
+    Printf.printf "%d image divergence(s) between cache states\n" divergences;
     exit 1
   end
 
@@ -318,9 +308,7 @@ let fig6 ?(tools = Tools.Registry.all) ?(workloads = Workloads.all) () =
 (* -- ablations ------------------------------------------------------------ *)
 
 let ablation_tools () =
-  List.filter
-    (fun t -> List.mem t.Tools.Tool.name [ "branch"; "cache" ])
-    Tools.Registry.all
+  tools_named [ "branch"; "cache" ]
 
 let ablate_wrapper () =
   print_endline "";
@@ -508,18 +496,10 @@ let verify_sweep ?(quick = false) () =
      matrix runs, at the default options and under Specialized, and passes
      2 and 3 are skipped. *)
   let pass1_tools =
-    if quick then
-      List.filter
-        (fun t -> List.mem t.Tools.Tool.name [ "branch"; "malloc" ])
-        Tools.Registry.all
-    else Tools.Registry.all
+    if quick then tools_named [ "branch"; "malloc" ] else Tools.Registry.all
   in
   let pass1_workloads =
-    if quick then
-      List.filter
-        (fun w -> List.mem w.Workloads.w_name [ "sieve"; "qsort" ])
-        Workloads.all
-    else Workloads.all
+    if quick then workloads_named [ "sieve"; "qsort" ] else Workloads.all
   in
   let pass1 options =
     List.iter
@@ -586,16 +566,8 @@ let verify_sweep ?(quick = false) () =
     [ Atom.Instrument.Wrapper; Atom.Instrument.Inline_saves;
       Atom.Instrument.Inline_body; Atom.Instrument.Specialized ]
   in
-  let sub_tools =
-    List.filter
-      (fun t -> List.mem t.Tools.Tool.name [ "branch"; "cache"; "malloc" ])
-      Tools.Registry.all
-  in
-  let sub_workloads =
-    List.filter
-      (fun w -> List.mem w.Workloads.w_name [ "compress"; "lisp"; "sieve" ])
-      Workloads.all
-  in
+  let sub_tools = tools_named [ "branch"; "cache"; "malloc" ] in
+  let sub_workloads = workloads_named [ "compress"; "lisp"; "sieve" ] in
   List.iter
     (fun strategy ->
       List.iter
@@ -694,18 +666,11 @@ type perf_row = {
 
 let perf ?(smoke = false) ?min_speedup () =
   let workloads =
-    if smoke then
-      List.filter
-        (fun w -> List.mem w.Workloads.w_name [ "sieve"; "qsort"; "cells" ])
-        Workloads.all
+    if smoke then workloads_named [ "sieve"; "qsort"; "cells" ]
     else Workloads.all
   in
   let tools =
-    if smoke then
-      List.filter
-        (fun t -> List.mem t.Tools.Tool.name [ "branch"; "inline" ])
-        Tools.Registry.all
-    else Tools.Registry.all
+    if smoke then tools_named [ "branch"; "inline" ] else Tools.Registry.all
   in
   let configs = None :: List.map Option.some tools in
   print_endline "";
@@ -820,10 +785,11 @@ let perf ?(smoke = false) ?min_speedup () =
        tot_insns tot_ref tot_fast ref_ips fast_ips speedup);
   Buffer.add_string buf
     (Printf.sprintf "  \"mismatches\": %d\n}\n" !mismatches);
-  let oc = open_out "BENCH_sim.json" in
+  let path = bench_path ~smoke "sim" in
+  let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  Printf.printf "wrote BENCH_sim.json (%d rows)\n" (List.length rows);
+  Printf.printf "wrote %s (%d rows)\n" path (List.length rows);
   if !mismatches > 0 then begin
     Printf.printf "%d cell(s) disagreed between engines\n" !mismatches;
     exit 1
@@ -852,12 +818,8 @@ let faults ?(smoke = false) () =
     else [ "cover"; "qsort"; "sieve"; "compress"; "matmul" ]
   in
   let tool_names = if smoke then [ "dyninst" ] else [ "dyninst"; "prof"; "trace" ] in
-  let workloads =
-    List.filter (fun w -> List.mem w.Workloads.w_name workload_names) Workloads.all
-  in
-  let tools =
-    List.filter (fun t -> List.mem t.Tools.Tool.name tool_names) Tools.Registry.all
-  in
+  let workloads = workloads_named workload_names in
+  let tools = tools_named tool_names in
   let scale n = if smoke then max 1 (n / 4) else n in
   let subjects =
     List.concat_map
@@ -889,7 +851,8 @@ let faults ?(smoke = false) () =
       subjects
   in
   let total = Faultinject.merge reports in
-  let oc = open_out "BENCH_faults.json" in
+  let path = bench_path ~smoke "faults" in
+  let oc = open_out path in
   output_string oc "{\n";
   output_string oc "  \"benchmark\": \"fault-injection\",\n";
   output_string oc (Printf.sprintf "  \"smoke\": %b,\n" smoke);
@@ -900,7 +863,7 @@ let faults ?(smoke = false) () =
   output_string oc inner;
   output_string oc "\n}\n";
   close_out oc;
-  Printf.printf "wrote BENCH_faults.json (%d cases)\n" total.Faultinject.r_cases;
+  Printf.printf "wrote %s (%d cases)\n" path total.Faultinject.r_cases;
   if not (Faultinject.ok total) then begin
     let oc = open_out "BENCH_faults_failing.txt" in
     List.iter
@@ -1255,7 +1218,8 @@ let soak ?(smoke = false) ?(seed = 1) ?(count = 0) ?(size = 0) ?(atomd = false)
     end
   in
   (* report *)
-  let oc = open_out "BENCH_soak.json" in
+  let path = bench_path ~smoke "soak" in
+  let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"benchmark\": \"soak\",\n";
@@ -1297,11 +1261,11 @@ let soak ?(smoke = false) ?(seed = 1) ?(count = 0) ?(size = 0) ?(atomd = false)
   close_out oc;
   Printf.printf
     "soak: %d programs, %d Minsns, %.1f prog/s, %d escapes, %d mismatches -> \
-     BENCH_soak.json\n%!"
+     %s\n%!"
     count
     (!total_insns / 1_000_000)
     (float_of_int count /. total_secs)
-    (List.length escapes) (List.length mismatches);
+    (List.length escapes) (List.length mismatches) path;
   let atomd_divs =
     match atomd_stats with Some (_, _, divs) -> divs | None -> []
   in
@@ -1562,7 +1526,8 @@ let serve_bench ?(smoke = false) () =
   Printf.printf
     "warm/cold throughput: %.1fx   divergences: %d   run parity failures: %d\n"
     warm_over_cold !divergences !run_failures;
-  let oc = open_out "BENCH_serve.json" in
+  let path = bench_path ~smoke "serve" in
+  let oc = open_out path in
   output_string oc "{\n";
   output_string oc "  \"bench\": \"atomd serving mode\",\n";
   output_string oc
@@ -1598,7 +1563,7 @@ let serve_bench ?(smoke = false) () =
        !divergences !run_failures);
   output_string oc "}\n";
   close_out oc;
-  Printf.printf "wrote BENCH_serve.json\n";
+  Printf.printf "wrote %s\n" path;
   if !divergences > 0 || !run_failures > 0 then begin
     Printf.printf
       "FAIL: the daemon served bytes the single-process pipeline disagrees \
@@ -1628,10 +1593,7 @@ type wcet_row = {
    to when the flow facts pin every path). *)
 let wcet_bench ?(smoke = false) () =
   let workloads =
-    if smoke then
-      List.filter
-        (fun w -> List.mem w.Workloads.w_name [ "sieve"; "qsort"; "cells" ])
-        Workloads.all
+    if smoke then workloads_named [ "sieve"; "qsort"; "cells" ]
     else Workloads.all
   in
   let trace_tool =
@@ -1699,7 +1661,8 @@ let wcet_bench ?(smoke = false) () =
   hrule 70;
   let rows = List.rev !rows in
   let violations = List.rev !violations in
-  let oc = open_out "BENCH_wcet.json" in
+  let path = bench_path ~smoke "wcet" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n  \"smoke\": %b,\n  \"rows\": [\n" smoke;
   List.iteri
     (fun i r ->
@@ -1717,21 +1680,59 @@ let wcet_bench ?(smoke = false) () =
     (String.concat ", "
        (List.map (fun v -> "\"" ^ json_escape v ^ "\"") violations));
   close_out oc;
-  Printf.printf "wrote BENCH_wcet.json\n";
+  Printf.printf "wrote %s\n" path;
   if violations <> [] then begin
     Printf.printf "FAIL: static bound below measured cycles: %s\n"
       (String.concat ", " violations);
     exit 1
   end
 
+let usage =
+  "usage: main.exe [fig5 [--smoke]|fig6|ablations|verify|bechamel [--cold]|\
+   quick|perf [--smoke] [--min-speedup X]|faults [--smoke]|serve [--smoke]|\
+   wcet [--smoke]|\
+   soak [--smoke] [--seed N] [--count N] [--size N] [--atomd] [--dump]|all]"
+
+let usage_error () =
+  prerr_endline usage;
+  exit 2
+
+(* What each verb takes after its name: flags that stand alone, and
+   flags followed by a value.  Any other argument is a usage error, so a
+   mistyped flag never runs a different benchmark than the one asked
+   for. *)
+let verb_flags = function
+  | "fig5" | "faults" | "serve" | "wcet" -> ([ "--smoke" ], [])
+  | "perf" -> ([ "--smoke" ], [ "--min-speedup" ])
+  | "bechamel" -> ([ "--cold" ], [])
+  | "soak" ->
+      ([ "--smoke"; "--atomd"; "--dump" ], [ "--seed"; "--count"; "--size" ])
+  | _ -> ([], [])
+
 let () =
-  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  let has_flag f =
-    Array.exists (fun a -> a = f)
-      (Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
+  let mode, rest =
+    match Array.to_list Sys.argv with
+    | _ :: mode :: rest -> (mode, rest)
+    | _ -> ("all", [])
   in
+  let switches, valued = verb_flags mode in
+  let rec parse = function
+    | [] -> []
+    | f :: rest when List.mem f switches -> (f, "") :: parse rest
+    | f :: v :: rest when List.mem f valued -> (f, v) :: parse rest
+    | _ -> usage_error ()
+  in
+  let args = parse rest in
+  let switch f = List.mem_assoc f args in
+  (* a value must convert and pass [ok]; an absent flag is [None] *)
+  let value f convert ok =
+    Option.map
+      (fun v -> match convert v with Some x when ok x -> x | _ -> usage_error ())
+      (List.assoc_opt f args)
+  in
+  let smoke = switch "--smoke" in
   match mode with
-  | "fig5" -> fig5 ~smoke:(has_flag "--smoke") ~cold:(has_flag "--cold") ()
+  | "fig5" -> fig5 ~smoke ()
   | "fig6" -> fig6 ()
   | "ablations" | "ablate" ->
       ablate_wrapper ();
@@ -1742,48 +1743,26 @@ let () =
   | "ablate-saves" -> ablate_saves ()
   | "ablate-heap" -> ablate_heap ()
   | "ablate-liveness" -> ablate_liveness ()
-  | "bechamel" -> bechamel ~cold:(has_flag "--cold") ()
+  | "bechamel" -> bechamel ~cold:(switch "--cold") ()
   | "perf" ->
-      let min_speedup =
-        let rec go i =
-          if i >= Array.length Sys.argv - 1 then None
-          else if Sys.argv.(i) = "--min-speedup" then
-            float_of_string_opt Sys.argv.(i + 1)
-          else go (i + 1)
-        in
-        go 1
-      in
-      perf ~smoke:(has_flag "--smoke") ?min_speedup ()
-  | "faults" -> faults ~smoke:(has_flag "--smoke") ()
+      perf ~smoke
+        ?min_speedup:
+          (value "--min-speedup" float_of_string_opt (fun x ->
+               Float.is_finite x && x > 0.0))
+        ()
+  | "faults" -> faults ~smoke ()
   | "soak" ->
-      let int_flag f default =
-        let rec go i =
-          if i >= Array.length Sys.argv - 1 then default
-          else if Sys.argv.(i) = f then
-            match int_of_string_opt Sys.argv.(i + 1) with
-            | Some n -> n
-            | None -> default
-          else go (i + 1)
-        in
-        go 1
-      in
-      soak ~smoke:(has_flag "--smoke") ~seed:(int_flag "--seed" 1)
-        ~count:(int_flag "--count" 0) ~size:(int_flag "--size" 0)
-        ~atomd:(has_flag "--atomd") ~dump:(has_flag "--dump") ()
-  | "serve" -> serve_bench ~smoke:(has_flag "--smoke") ()
-  | "wcet" -> wcet_bench ~smoke:(has_flag "--smoke") ()
+      let positive f = value f int_of_string_opt (fun n -> n > 0) in
+      soak ~smoke
+        ?seed:(value "--seed" int_of_string_opt (fun _ -> true))
+        ?count:(positive "--count") ?size:(positive "--size")
+        ~atomd:(switch "--atomd") ~dump:(switch "--dump") ()
+  | "serve" -> serve_bench ~smoke ()
+  | "wcet" -> wcet_bench ~smoke ()
   | "verify" -> verify_sweep ()
   | "quick" ->
-      let tools =
-        List.filter
-          (fun t -> List.mem t.Tools.Tool.name [ "inline"; "dyninst" ])
-          Tools.Registry.all
-      in
-      let workloads =
-        List.filter
-          (fun w -> List.mem w.Workloads.w_name [ "cover"; "sieve"; "qsort" ])
-          Workloads.all
-      in
+      let tools = tools_named [ "inline"; "dyninst" ] in
+      let workloads = workloads_named [ "cover"; "sieve"; "qsort" ] in
       fig6 ~tools ~workloads ();
       verify_sweep ~quick:true ()
   | "all" ->
@@ -1794,13 +1773,4 @@ let () =
       ablate_liveness ();
       ablate_heap ();
       bechamel ()
-  | other ->
-      Printf.eprintf
-        "unknown mode %S \
-         (fig5 [--smoke] [--cold]|fig6|ablations|verify|bechamel [--cold]|\
-         quick|perf [--smoke] [--min-speedup X]|faults [--smoke]|\
-         serve [--smoke]|\
-         wcet [--smoke]|\
-         soak [--smoke] [--seed N] [--count N] [--size N] [--atomd] [--dump]|all)\n"
-        other;
-      exit 2
+  | _ -> usage_error ()

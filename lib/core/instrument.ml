@@ -13,8 +13,6 @@ type options = {
 let default_options =
   { save_strategy = Summary; call_style = Wrapper; heap_mode = Linked }
 
-type pipeline = Fast | Ref
-
 (* every option that could affect analysis-side codegen is part of the
    toolchain-cache key (see Toolcache): changing an option is a miss *)
 let options_key o =
@@ -66,8 +64,6 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
 let align16 n = (n + 15) / 16 * 16
 
-(* Build a throwaway executable for the analysis module so OM can compute
-   dataflow summaries; the summaries are base-independent. *)
 (* Decode a procedure's instructions from a linked analysis image; used
    to qualify and extract bodies for the inlining optimization. *)
 let decode_proc text ~text_base ~addr ~size =
@@ -124,7 +120,9 @@ let leaf_body text ~text_base ~addr ~size =
     if ok then Some (List.filteri (fun i _ -> i < n - 1) insns) else None
   end
 
-let analysis_summaries ~build pl =
+(* Build a throwaway executable for the analysis module so OM can compute
+   dataflow summaries; the summaries are base-independent. *)
+let analysis_summaries pl =
   let bases =
     Linker.Link.bases_for pl ~text:0x10000
       ~rdata:(align16 (0x10000 + pl.Linker.Link.pl_sizes.(0)))
@@ -147,13 +145,12 @@ let analysis_summaries ~build pl =
       x_code_refs = [];
     }
   in
-  let prog = build exe in
-  (Om.Dataflow.compute prog, img, bases.Linker.Link.b_text)
+  (Om.Dataflow.compute (Om.Build.program exe), img, bases.Linker.Link.b_text)
 
 (* select, lay out and provisionally link the analysis module, and run
    the dataflow-summary analysis over the provisional image; pure in the
-   analysis units, so the fast pipeline serves it from [Toolcache] *)
-let prepare_analysis ~build analysis =
+   analysis units, so [instrument] serves it from [Toolcache] *)
+let prepare_analysis analysis =
   let inputs =
     List.map (fun u -> Linker.Link.Unit u) analysis
     @ [ Linker.Link.Lib (Rtlib.libc ()) ]
@@ -161,7 +158,7 @@ let prepare_analysis ~build analysis =
   let units = Linker.Link.select_units inputs in
   if units = [] then fail "empty analysis module";
   let pl = Linker.Link.layout units in
-  let summaries, img, text_base = analysis_summaries ~build pl in
+  let summaries, img, text_base = analysis_summaries pl in
   {
     Toolcache.pr_pl = pl;
     pr_summaries = summaries;
@@ -169,8 +166,7 @@ let prepare_analysis ~build analysis =
     pr_text_base = text_base;
   }
 
-let instrument ?(options = default_options) ?(pipeline = Fast) ~exe ~tool
-    ~analysis () =
+let instrument ?(options = default_options) ~exe ~tool ~analysis () =
   let wrap_errors f =
     try f () with
     | Api.Error m | Failure m -> fail "%s" m
@@ -178,35 +174,23 @@ let instrument ?(options = default_options) ?(pipeline = Fast) ~exe ~tool
     | Linker.Link.Error m -> fail "link: %s" m
   in
   wrap_errors @@ fun () ->
-  let build =
-    match pipeline with Fast -> Om.Build.program | Ref -> Om.Build.program_ref
-  in
   (* 1. the user's instrumentation routine annotates the program view;
-     the built IR is tool-independent, so the fast pipeline serves it
-     from the content-addressed cache across a tool sweep *)
-  let prog =
-    match pipeline with Ref -> build exe | Fast -> Toolcache.program exe
-  in
+     the built IR is tool-independent, so it is served from the
+     content-addressed cache across a tool sweep *)
+  let prog = Toolcache.program exe in
   let api = Api.create prog in
   tool api;
   let user_actions = Api.actions api in
   (* 2. select and lay out the analysis module (own copy of the runtime);
-     content-addressed across calls on the fast pipeline: the key is the
-     serialised analysis units plus the option fingerprint, so the same
-     tool applied across a workload suite is prepared once *)
+     content-addressed across calls: the key is the serialised analysis
+     units plus the option fingerprint, so the same tool applied across a
+     workload suite is prepared once *)
   let anal_key =
-    match pipeline with
-    | Ref -> ""
-    | Fast ->
-        String.concat "\000" (List.map Toolcache.unit_digest analysis)
-        ^ "\001" ^ options_key options
+    String.concat "\000" (List.map Toolcache.unit_digest analysis)
+    ^ "\001" ^ options_key options
   in
   let prepared =
-    match pipeline with
-    | Ref -> prepare_analysis ~build analysis
-    | Fast ->
-        Toolcache.find_or_add anal_key (fun () ->
-            prepare_analysis ~build analysis)
+    Toolcache.find_or_add anal_key (fun () -> prepare_analysis analysis)
   in
   let pl = prepared.Toolcache.pr_pl in
   let summaries = prepared.Toolcache.pr_summaries in
@@ -264,13 +248,10 @@ let instrument ?(options = default_options) ?(pipeline = Fast) ~exe ~tool
   in
   let live_table =
     (* the [Specialized] style always live-filters its save sets,
-       whatever the save strategy says; the fast pipeline shares one
-       table per application with every tool and with the verifier *)
+       whatever the save strategy says; one table per application is
+       shared with every tool and with the verifier *)
     match (options.save_strategy, options.call_style) with
-    | Summary_and_live, _ | _, Specialized -> (
-        match pipeline with
-        | Fast -> Some (Toolcache.liveness exe)
-        | Ref -> Some (Om.Liveness.compute_ref prog))
+    | Summary_and_live, _ | _, Specialized -> Some (Toolcache.liveness exe)
     | (Summary | Save_all), _ -> None
   in
   (* 5. interned strings and late-bound addresses *)
@@ -436,31 +417,22 @@ let instrument ?(options = default_options) ?(pipeline = Fast) ~exe ~tool
     { Toolcache.ln_img = img; ln_blob = blob }
   in
   (* everything in the final link depends only on the prepared module, the
-     bases and the overrides; the fast pipeline keys those and relinks
-     nothing when the same tool meets the same application layout again *)
+     bases and the overrides; keyed on those, nothing is relinked when the
+     same tool meets the same application layout again *)
   let linked =
-    match pipeline with
-    | Ref -> build_linked ()
-    | Fast ->
-        let key =
-          Digest.string
-            (Printf.sprintf "%s\002%d:%d:%d:%d\003%s" anal_key a_text a_rdata
-               a_data a_end
-               (String.concat ";"
-                  (List.map
-                     (fun (n, v) -> n ^ "=" ^ string_of_int v)
-                     overrides)))
-        in
-        Toolcache.find_or_add_linked key build_linked
+    let key =
+      Digest.string
+        (Printf.sprintf "%s\002%d:%d:%d:%d\003%s" anal_key a_text a_rdata
+           a_data a_end
+           (String.concat ";"
+              (List.map (fun (n, v) -> n ^ "=" ^ string_of_int v) overrides)))
+    in
+    Toolcache.find_or_add_linked key build_linked
   in
   let img = linked.Toolcache.ln_img in
-  let blob =
-    (* the template may be shared with other callers; hand each image its
-       own copy *)
-    match pipeline with
-    | Ref -> linked.Toolcache.ln_blob
-    | Fast -> Bytes.copy linked.Toolcache.ln_blob
-  in
+  (* the template may be shared with other callers; hand each image its
+     own copy *)
+  let blob = Bytes.copy linked.Toolcache.ln_blob in
   List.iter
     (fun (name, sym) -> Hashtbl.replace proc_addrs name sym.Exe.x_addr)
     img.Linker.Link.i_globals;
@@ -620,11 +592,9 @@ let instrument ?(options = default_options) ?(pipeline = Fast) ~exe ~tool
   in
   (exe', info)
 
-let instrument_source ?options ?(pipeline = Fast) ~exe ~tool ~analysis_src () =
+let instrument_source ?options ~exe ~tool ~analysis_src () =
   let unit_ =
-    try
-      Rtlib.compile_user ~cache:(pipeline = Fast) ~name:"analysis.o"
-        analysis_src
+    try Rtlib.compile_user ~name:"analysis.o" analysis_src
     with Minic.Driver.Error m -> fail "analysis routines: %s" m
   in
-  instrument ?options ~pipeline ~exe ~tool ~analysis:[ unit_ ] ()
+  instrument ?options ~exe ~tool ~analysis:[ unit_ ] ()

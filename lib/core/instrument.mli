@@ -71,19 +71,6 @@ val max_leaf_insns : int
 (** Largest body (excluding the trailing [ret]) the [Specialized] style
     will splice into a site stub. *)
 
-(** Which implementation of the instrument pipeline runs.  Both produce
-    byte-identical executables (checked by the benchmark harness and the
-    tests); only speed differs. *)
-type pipeline =
-  | Fast
-      (** content-addressed toolchain caches ({!Toolcache},
-          [Rtlib.compile_user]; one IR and one liveness table per
-          application), binary-search symbol/leader lookups and a decode
-          memo in [Om.Build], worklist liveness (default) *)
-  | Ref
-      (** the pre-overhaul pipeline: no caches, list-scan lookups, dense
-          liveness fixpoint — the benchmark baseline *)
-
 (** One lowered analysis call, in the order actions were lowered (includes
     the implicit [__libc_init]/[__libc_fini] calls).  Together with
     {!Om.Codegen.site} layout records this is the evidence the verifier
@@ -126,7 +113,6 @@ exception Error of string
 
 val instrument :
   ?options:options ->
-  ?pipeline:pipeline ->
   exe:Objfile.Exe.t ->
   tool:(Api.t -> unit) ->
   analysis:Objfile.Unit_file.t list ->
@@ -134,20 +120,24 @@ val instrument :
   Objfile.Exe.t * info
 (** Build the instrumented program.  [tool] is the user's instrumentation
     routine; [analysis] the compiled analysis modules (they are linked
-    with their own copy of the runtime library).  [pipeline] defaults to
-    {!Fast}.
+    with their own copy of the runtime library).
+
+    Every step that depends only on part of its inputs is served from
+    the content-addressed toolchain caches ({!Toolcache}): the
+    application's IR and liveness table, the prepared analysis module
+    and its final link.  Emptying the caches changes only the speed of
+    the next call, never its output.
     @raise Error on any failure (undefined analysis procedure, overflow of
     the text gap, malformed prototypes...). *)
 
 val instrument_source :
   ?options:options ->
-  ?pipeline:pipeline ->
   exe:Objfile.Exe.t ->
   tool:(Api.t -> unit) ->
   analysis_src:string ->
   unit ->
   Objfile.Exe.t * info
 (** Convenience: compile the analysis routines from Mini-C source (with
-    the runtime-library prototypes in scope) and instrument.  On the
-    {!Fast} pipeline the compilation itself is served from the
-    content-addressed [Rtlib] cache. *)
+    the runtime-library prototypes in scope) and instrument.  The
+    compilation itself is served from the content-addressed [Rtlib]
+    cache. *)

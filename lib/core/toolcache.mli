@@ -9,7 +9,7 @@
     application being instrumented.  {!Instrument} therefore keys this
     work by a digest of the serialised analysis units plus an option
     fingerprint and reuses it across a whole workload sweep: the 15
-    workloads × 11 tools benchmark prepares each tool once instead of 165
+    workloads × 12 tools benchmark prepares each tool once instead of 180
     times.  The application-side analyses — the IR build and its
     liveness — depend only on the executable, so they are keyed by its
     digest and computed once per application, whichever tool, options

@@ -43,7 +43,7 @@ type engine = State.engine =
 
 type stats = State.stats = {
   st_insns : int;  (** instructions retired *)
-  st_cycles : int;  (** weighted cycles (see {!Alpha.Cost.latency}) *)
+  st_cycles : int;  (** weighted cycles, {!insn_cycles} per instruction *)
   st_pair_cycles : int;
       (** issue cycles under an optimistic 21064 dual-issue model: an
           aligned, class-compatible, dependence-free instruction pair

@@ -1,104 +1,9 @@
 open Alpha
 
-(* -- reference implementation -------------------------------------------
-   The pre-overhaul builder, kept verbatim: the benchmark harness times it
-   as the baseline and the tests check the fast builder against it. *)
-
-let program_ref exe =
-  let text = Objfile.Exe.text_bytes exe in
-  let base = exe.Objfile.Exe.x_text_start in
-  let size = exe.Objfile.Exe.x_text_size in
-  if size = 0 || size mod 4 <> 0 then failwith "Build.program: bad text segment";
-  let n = size / 4 in
-  let insns = Array.init n (fun i -> Code.decode_at text (i * 4)) in
-  (* procedure boundaries from Func symbols *)
-  let funcs = Objfile.Exe.funcs_sorted exe in
-  let boundaries =
-    let addrs = List.map (fun s -> s.Objfile.Exe.x_addr) funcs in
-    let addrs = if List.mem base addrs then addrs else base :: addrs in
-    List.sort_uniq compare addrs
-  in
-  let name_of addr =
-    match List.find_opt (fun s -> s.Objfile.Exe.x_addr = addr) funcs with
-    | Some s -> s.Objfile.Exe.x_name
-    | None -> Printf.sprintf "proc_0x%x" addr
-  in
-  let rec proc_ranges = function
-    | [] -> []
-    | [ a ] -> [ (a, base + size) ]
-    | a :: (b :: _ as rest) -> (a, b) :: proc_ranges rest
-  in
-  let ranges = proc_ranges boundaries in
-  let build_proc (lo, hi) =
-    let first = (lo - base) / 4 and limit = (hi - base) / 4 in
-    (* leaders: entry, branch targets within [lo,hi), successors of
-       terminators *)
-    let leader = Array.make (limit - first) false in
-    leader.(0) <- true;
-    for i = first to limit - 1 do
-      let pc = base + (i * 4) in
-      let insn = insns.(i) in
-      (match Insn.branch_target ~pc insn with
-      | Some target when (not (Insn.is_call insn)) && target >= lo && target < hi ->
-          leader.((target - base) / 4 - first) <- true
-      | Some _ | None -> ());
-      if Insn.is_terminator insn && i + 1 < limit then leader.(i + 1 - first) <- true
-    done;
-    (* carve blocks *)
-    let blocks = ref [] in
-    let blk_start = ref first in
-    let flush stop =
-      if stop > !blk_start then begin
-        let insts =
-          Array.init (stop - !blk_start) (fun k ->
-              let idx = !blk_start + k in
-              {
-                Ir.i_insn = insns.(idx);
-                i_pc = base + (idx * 4);
-                i_before = [];
-                i_after = [];
-                i_taken = [];
-              })
-        in
-        let last = insts.(Array.length insts - 1) in
-        let succs =
-          (* a call falls through once the callee returns *)
-          let fall =
-            if Insn.falls_through last.Ir.i_insn || Insn.is_call last.Ir.i_insn
-            then [ last.Ir.i_pc + 4 ]
-            else []
-          in
-          match Insn.branch_target ~pc:last.Ir.i_pc last.Ir.i_insn with
-          | Some t when (not (Insn.is_call last.Ir.i_insn)) && t >= lo && t < hi ->
-              t :: fall
-          | Some _ | None -> fall
-        in
-        let succs = List.filter (fun a -> a >= lo && a < hi) succs in
-        blocks :=
-          { Ir.b_addr = base + (!blk_start * 4); b_insts = insts; b_succs = succs }
-          :: !blocks;
-        blk_start := stop
-      end
-    in
-    for i = first + 1 to limit - 1 do
-      if leader.(i - first) then flush i
-    done;
-    flush limit;
-    {
-      Ir.p_name = name_of lo;
-      p_addr = lo;
-      p_size = hi - lo;
-      p_blocks = Array.of_list (List.rev !blocks);
-    }
-  in
-  let procs = Array.of_list (List.map build_proc ranges) in
-  { Ir.procs; exe }
-
-(* -- fast implementation ------------------------------------------------
-   Same output (the tests assert structural equality with [program_ref]),
-   but symbol and leader lookups go through sorted arrays with binary
-   search instead of per-address list scans, and decoding goes through
-   the decode memo ([Code.decode_cached]). *)
+(* Symbol and leader lookups go through sorted arrays with binary search
+   instead of per-address list scans, and decoding goes through the
+   decode memo ([Code.decode_cached]); the tests check the output
+   structurally against a list-scan builder. *)
 
 (* leftmost index in [arr] holding [key], or -1 *)
 let bsearch_first arr key =
@@ -119,8 +24,8 @@ let program exe =
   let n = size / 4 in
   let insns = Array.init n (fun i -> Code.decode_at_cached text (i * 4)) in
   let funcs = Array.of_list (Objfile.Exe.funcs_sorted exe) in
-  (* funcs_sorted is address-sorted; keep the first symbol at each address
-     to mirror [List.find_opt] in the reference builder *)
+  (* funcs_sorted is address-sorted; the first symbol at an address names
+     the procedure *)
   let func_addrs = Array.map (fun s -> s.Objfile.Exe.x_addr) funcs in
   let name_of addr =
     match bsearch_first func_addrs addr with

@@ -12,8 +12,3 @@ val program : Objfile.Exe.t -> Ir.program
 
     Symbol and leader lookups use sorted arrays with binary search and
     decoding goes through {!Alpha.Code.decode_cached}. *)
-
-val program_ref : Objfile.Exe.t -> Ir.program
-(** The pre-overhaul builder ([List.find_opt] symbol lookups, uncached
-    decoding), kept as the benchmark baseline and differential-testing
-    reference.  Produces a structurally identical program. *)

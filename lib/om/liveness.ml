@@ -33,136 +33,12 @@ let step insn live =
    carries its own caller-save value across a call (a call is assumed to
    clobber every caller-save register). *)
 
-(* -- reference implementation -------------------------------------------
-   The pre-overhaul dense fixpoint (full-procedure passes, per-pass
-   Hashtbl construction, per-instruction stepping during propagation),
-   kept verbatim as the benchmark baseline and the equality reference for
-   the worklist solver below. *)
-
-let compute_ref prog =
-  let nprocs = Array.length prog.Ir.procs in
-  let proc_index = Hashtbl.create nprocs in
-  Array.iteri (fun i p -> Hashtbl.replace proc_index p.Ir.p_addr i) prog.Ir.procs;
-  (* procedures whose address is taken can be called from anywhere *)
-  let ret_live = Array.make nprocs Regset.empty in
-  List.iter
-    (fun cr ->
-      match Hashtbl.find_opt proc_index cr.Objfile.Exe.cr_target with
-      | Some i -> ret_live.(i) <- all_regs
-      | None -> ())
-    prog.Ir.exe.Objfile.Exe.x_code_refs;
-  let changed = ref true in
-  let table = Hashtbl.create 1024 in
-  (* one intra-procedural pass; [record] optionally fills the final
-     per-instruction table; call-site live-after sets feed callee
-     return-liveness *)
-  let analyse pi ~record =
-    let p = prog.Ir.procs.(pi) in
-    let blocks = p.Ir.p_blocks in
-    let n = Array.length blocks in
-    let index_of = Hashtbl.create n in
-    Array.iteri (fun i b -> Hashtbl.replace index_of b.Ir.b_addr i) blocks;
-    let live_in = Array.make n Regset.empty in
-    let boundary b =
-      let last = Ir.last_inst b in
-      let insn = last.Ir.i_insn in
-      if Insn.is_return insn then Some ret_live.(pi)
-      else if Insn.is_call insn then None
-      else
-        match insn with
-        | Insn.Jump _ -> Some all_regs
-        | Insn.Call_pal _ | Insn.Raw _ -> Some all_regs
-        | Insn.Br _ | Insn.Cbr _ | Insn.Fbr _ | Insn.Mem _ | Insn.Opr _
-        | Insn.Fop _ ->
-            if b.Ir.b_succs = [] then Some all_regs else None
-    in
-    let live_out b =
-      match boundary b with
-      | Some s -> s
-      | None ->
-          let last = Ir.last_inst b in
-          let escapes =
-            match Insn.branch_target ~pc:last.Ir.i_pc last.Ir.i_insn with
-            | Some t ->
-                (not (Insn.is_call last.Ir.i_insn))
-                && not (List.mem t b.Ir.b_succs)
-            | None -> false
-          in
-          let base = if escapes then all_regs else Regset.empty in
-          List.fold_left
-            (fun acc succ ->
-              match Hashtbl.find_opt index_of succ with
-              | Some j -> Regset.union acc live_in.(j)
-              | None -> Regset.union acc all_regs)
-            base b.Ir.b_succs
-    in
-    (* walk a block backward; optionally record table entries and
-       call-site contributions *)
-    let walk b ~emit =
-      let insts = b.Ir.b_insts in
-      let live = ref (live_out b) in
-      for k = Array.length insts - 1 downto 0 do
-        let inst = insts.(k) in
-        if emit then begin
-          (* before stepping, !live is the live-after set of inst *)
-          (if Insn.is_call inst.Ir.i_insn then
-             match Insn.branch_target ~pc:inst.Ir.i_pc inst.Ir.i_insn with
-             | Some target -> (
-                 match Hashtbl.find_opt proc_index target with
-                 | Some q ->
-                     let s = Regset.union ret_live.(q) !live in
-                     if not (Regset.equal s ret_live.(q)) then begin
-                       ret_live.(q) <- s;
-                       changed := true
-                     end
-                 | None -> ())
-             | None -> ());
-          if record then Hashtbl.replace table inst.Ir.i_pc (step inst.Ir.i_insn !live)
-        end;
-        live := step inst.Ir.i_insn !live
-      done;
-      !live
-    in
-    let intra_changed = ref true in
-    while !intra_changed do
-      intra_changed := false;
-      for i = n - 1 downto 0 do
-        let s = walk blocks.(i) ~emit:false in
-        if not (Regset.equal s live_in.(i)) then begin
-          live_in.(i) <- s;
-          intra_changed := true
-        end
-      done
-    done;
-    (* final pass over the converged solution *)
-    Array.iter (fun b -> ignore (walk b ~emit:true)) blocks
-  in
-  (* interprocedural fixpoint over return-liveness *)
-  let rounds = ref 0 in
-  while !changed && !rounds < 64 do
-    changed := false;
-    incr rounds;
-    for pi = 0 to nprocs - 1 do
-      analyse pi ~record:false
-    done
-  done;
-  if !changed then
-    (* did not converge (pathological); fall back to fully conservative *)
-    Array.iteri (fun i _ -> ret_live.(i) <- all_regs) ret_live;
-  Hashtbl.reset table;
-  for pi = 0 to nprocs - 1 do
-    analyse pi ~record:true
-  done;
-  table
-
-(* -- worklist implementation --------------------------------------------
-   Same fixpoint (the tests assert table equality with [compute_ref]), but
-   the per-procedure CFG is preprocessed once — block gen/kill transfer
+(* The per-procedure CFG is preprocessed once — block gen/kill transfer
    sets, successor/predecessor index arrays, boundary classification — and
    propagation is worklist-driven over those arrays, warm-starting each
    interprocedural round from the previous round's solution (sound: the
    return-live sets only grow, so the warm start stays below the new
-   fixpoint). *)
+   fixpoint).  The tests check the table against a dense fixpoint. *)
 
 (* how a block's live-out is obtained *)
 type bkind =

@@ -31,11 +31,6 @@ val compute : Ir.program -> (int, Alpha.Regset.t) Hashtbl.t
     changed, warm-starting every interprocedural round from the previous
     round's solution. *)
 
-val compute_ref : Ir.program -> (int, Alpha.Regset.t) Hashtbl.t
-(** The pre-overhaul dense fixpoint (full-procedure passes re-stepping
-    every instruction), kept as the benchmark baseline and differential
-    reference.  Computes the same table as {!compute}. *)
-
 val live_before : (int, Alpha.Regset.t) Hashtbl.t -> int -> Alpha.Regset.t
 (** Lookup; unknown addresses report every register live. *)
 

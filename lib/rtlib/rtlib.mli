@@ -20,8 +20,9 @@ val compile_user : ?cache:bool -> name:string -> string -> Objfile.Unit_file.t
 
     By default the result is memoised under a content key (digest of unit
     name + full source), so compiling the same source again returns the
-    cached object; [~cache:false] forces a fresh compilation (used by the
-    benchmark harness's reference pipeline and cold modes). *)
+    cached object; [~cache:false] forces a fresh compilation (the
+    benchmark's [fresh] workload and its per-layer compile timing use it
+    on programs they never compile twice). *)
 
 val clear_cache : unit -> unit
 (** Drop every entry of the content-addressed compilation cache. *)

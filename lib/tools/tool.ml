@@ -9,9 +9,9 @@ type t = {
   analysis : string;
 }
 
-let apply ?options ?pipeline tool exe =
-  Atom.Instrument.instrument_source ?options ?pipeline ~exe
-    ~tool:tool.instrument ~analysis_src:tool.analysis ()
+let apply ?options tool exe =
+  Atom.Instrument.instrument_source ?options ~exe ~tool:tool.instrument
+    ~analysis_src:tool.analysis ()
 
 let counter_tool api ~init ~report walk =
   let n = ref 0 in

@@ -16,13 +16,10 @@ type t = {
 
 val apply :
   ?options:Atom.Instrument.options ->
-  ?pipeline:Atom.Instrument.pipeline ->
   t ->
   Objfile.Exe.t ->
   Objfile.Exe.t * Atom.Instrument.info
-(** Instrument an executable with the tool.  [pipeline] selects the fast
-    (cached, default) or reference (pre-overhaul baseline) engine; both
-    produce byte-identical output. *)
+(** Instrument an executable with the tool. *)
 
 val counter_tool :
   Atom.Api.t ->

@@ -62,8 +62,34 @@ let check_cell ?tag ?(per_insn = false) label exe =
     Alcotest.failf "%s: final break ref=%#x fast=%#x" label
       (Machine.Sim.brk m_ref) (Machine.Sim.brk m_fast)
 
+(* [check] every workload on two domains, each taking the next unchecked
+   workload until none is left or a check fails.  Once both have
+   stopped, the first failure, this domain's before the other's, fails
+   the case with its own message and backtrace. *)
+let on_two_domains check workloads =
+  let todo = Array.of_list workloads in
+  let next = Atomic.make 0 in
+  let worker () =
+    let rec go () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < Array.length todo then begin
+        check todo.(i);
+        go ()
+      end
+    in
+    match go () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  let other = Domain.spawn worker in
+  let here = worker () in
+  let there = Domain.join other in
+  match (here, there) with
+  | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None, None -> ()
+
 let test_uninstrumented () =
-  List.iter
+  on_two_domains
     (fun w ->
       let exe = Workloads.compile w in
       check_cell w.Workloads.w_name exe;
@@ -71,7 +97,7 @@ let test_uninstrumented () =
     Workloads.all
 
 let test_tool tool () =
-  List.iter
+  on_two_domains
     (fun w ->
       let exe = Workloads.compile w in
       let exe', _ = Tools.Tool.apply tool exe in
@@ -92,7 +118,7 @@ let spec_workloads =
     Workloads.all
 
 let test_tool_specialized tool () =
-  List.iter
+  on_two_domains
     (fun w ->
       let exe = Workloads.compile w in
       let exe', _ = Tools.Tool.apply ~options:spec_options tool exe in

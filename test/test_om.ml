@@ -339,7 +339,7 @@ let test_liveness_divqu_remainder () =
 let test_fast_builder_matches_ref () =
   let exe = Lazy.force sample_exe in
   let fast = Om.Build.program exe in
-  let reference = Om.Build.program_ref exe in
+  let reference = Oracle.program_ref exe in
   Alcotest.(check bool) "fast builder = reference builder" true
     (fast.Om.Ir.procs = reference.Om.Ir.procs)
 
@@ -384,7 +384,7 @@ let prop_partition =
     (QCheck.make gen_synthetic_exe)
     (fun exe ->
       let prog = Om.Build.program exe in
-      let reference = Om.Build.program_ref exe in
+      let reference = Oracle.program_ref exe in
       prog.Om.Ir.procs = reference.Om.Ir.procs
       && Array.for_all
            (fun p ->
