@@ -32,7 +32,8 @@
    workload on both engines; writes BENCH_wcet.json.
 
    Usage: see [usage] at the end of this file.  A [--smoke] run writes
-   BENCH_<name>.smoke.json instead of the committed baseline. *)
+   BENCH_<name>.smoke.json instead of the committed baseline, and so
+   does a soak with a non-default seed, count or size. *)
 
 let time_it fn =
   let t0 = Unix.gettimeofday () in
@@ -905,7 +906,9 @@ let faults ?(smoke = false) () =
 
    Any failure is persisted with a one-line repro command, minimized
    with Progen.shrink, and written to test/corpus/ as a regression
-   candidate.  Results go to BENCH_soak.json. *)
+   candidate.  Results go to BENCH_soak.json only from the full default
+   run (seed 1, 1000 programs, cycling sizes); any other run — a repro
+   command, a [--smoke] run — writes BENCH_soak.smoke.json. *)
 
 let soak_fuel = 100_000_000
 
@@ -1218,7 +1221,8 @@ let soak ?(smoke = false) ?(seed = 1) ?(count = 0) ?(size = 0) ?(atomd = false)
     end
   in
   (* report *)
-  let path = bench_path ~smoke "soak" in
+  let baseline = (not smoke) && seed = 1 && count = 1000 && size = 0 in
+  let path = bench_path ~smoke:(not baseline) "soak" in
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";

@@ -62,6 +62,10 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
+(* Analysis symbols join an instrumented image's table under this
+   prefix, so it marks an image as instrumented already. *)
+let analysis_prefix = "anal$"
+
 let align16 n = (n + 15) / 16 * 16
 
 (* Decode a procedure's instructions from a linked analysis image; used
@@ -174,6 +178,15 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
     | Linker.Link.Error m -> fail "link: %s" m
   in
   wrap_errors @@ fun () ->
+  (* an instrumented image's analysis region fills the text gap where a
+     second analysis region would go: the two would overlap *)
+  (match
+     List.find_opt
+       (fun s -> String.starts_with ~prefix:analysis_prefix s.Exe.x_name)
+       exe.Exe.x_symbols
+   with
+  | Some s -> fail "input is already instrumented (it defines %s)" s.Exe.x_name
+  | None -> ());
   (* 1. the user's instrumentation routine annotates the program view;
      the built IR is tool-independent, so it is served from the
      content-addressed cache across a tool sweep *)
@@ -553,7 +566,7 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
   in
   let analysis_syms =
     List.map
-      (fun (_, s) -> { s with Exe.x_name = "anal$" ^ s.Exe.x_name })
+      (fun (_, s) -> { s with Exe.x_name = analysis_prefix ^ s.Exe.x_name })
       img.Linker.Link.i_globals
   in
   let exe' =

@@ -128,7 +128,8 @@ val instrument :
     and its final link.  Emptying the caches changes only the speed of
     the next call, never its output.
     @raise Error on any failure (undefined analysis procedure, overflow of
-    the text gap, malformed prototypes...). *)
+    the text gap, malformed prototypes, an [exe] that is already
+    instrumented...). *)
 
 val instrument_source :
   ?options:options ->

@@ -1,39 +1,28 @@
 (* The closure-compiled fast execution engine.
 
    Instead of fetching and dispatching on a decoded [Insn.t] every step
-   (the {!Sim} reference interpreter), the engine runs OCaml closures
-   translated from the code.  Translation is lazy, the way a dynamic
-   binary translator fills its code cache: [translate] only allocates
-   each segment's slot arrays, filled with two stubs that every slot of
-   every program shares.  A stub raises its slot's index to the driver
-   loop, which translates that piece of code — decoding its words on
-   first use ({!State.insn}) — writes the result into the slot and calls
-   it.  A run pays decoding and translation only for the code it
-   executes.  Translation happens at two granularities:
+   (the reference step, {!State.step}), the engine runs OCaml closures
+   translated from the code, one per basic block.  Translation is lazy,
+   the way a dynamic binary translator fills its code cache: [translate]
+   only allocates each segment's slot array, filled with the one stub
+   that every slot of every program shares.  The stub raises its slot's
+   index to the driver loop, which builds the block that starts there —
+   decoding its words on first use ({!State.insn}) — writes it into the
+   slot and calls it.  A run pays decoding and translation only for the
+   code it executes.
 
-   {b Per instruction} ([compile]): one closure per instruction word,
-   performing exactly one reference step — budget check, dual-issue pair
-   accounting, trace hook, instruction count, cycle weights, then the
-   architectural effect.  Operand registers become captured register
-   numbers, sign-extended displacements become captured constants, and
-   static branch targets become captured dispatch indices.
-
-   {b Per basic block} ([build_block]): straight-line runs
-   ending at a control transfer (or at a branched-to leader), chained
-   across unconditional in-segment branches, become one "turbo"
-   closure.  Everything a block does to the statistics record is
-   computed at translation time — instruction count, weighted cycles,
-   load/store/call counts, and both variants of the dual-issue
-   pair accounting (entered with or without a pairable predecessor) —
-   and applied in one batch, after a single up-front fuel check.  The
-   architectural effects run as a straight line of specialized closures
-   that skip the per-step bookkeeping entirely.
-
-   Both granularities take their architectural effects from one
-   translator ([effects]), whose loads and stores go through 64-entry
-   direct-mapped page TLBs straight into the backing [bytes]; a
-   per-instruction closure is that effect wrapped in the reference
-   step's bookkeeping.  The registers are unboxed 8-byte slots, so
+   A block ([build_block]) is a straight-line run ending at a control
+   transfer (or at a branched-to leader), chained across unconditional
+   in-segment branches, and becomes one "turbo" closure.  Everything a
+   block does to the statistics record is computed at translation time —
+   instruction count, weighted cycles, load/store/call counts, and both
+   variants of the dual-issue pair accounting (entered with or without a
+   pairable predecessor) — and applied in one batch, after a single
+   up-front fuel check.  The architectural effects run as a straight
+   line of specialized closures that skip the per-step bookkeeping
+   entirely.  They come from one translator ([effects]), whose loads and
+   stores go through 64-entry direct-mapped page TLBs straight into the
+   backing [bytes].  The registers are unboxed 8-byte slots, so
    executing translated code allocates nothing on the OCaml heap except
    in system calls, faults, the rare load or store that straddles a
    page (it goes through [Mem]'s boxed accessors) and the few operates
@@ -45,25 +34,26 @@
    exactly like the reference fetch (including its fault on a PC outside
    code).
 
-   The per-instruction closures remain the engine's slow path: a turbo
-   block falls back to them whenever a trace hook is installed (the hook
-   must see every instruction) or the remaining budget is smaller than
-   the block (the per-step fuel check then stops at exactly the right
-   instruction, inside the block, so the slow path can never run past a
-   block boundary).
+   Code no turbo block covers takes the reference step instead.  That is
+   a slot entered in the middle of a block (only a computed jump gets
+   there, and such a slot keeps its stub) and a block longer than the
+   remaining fuel: each sets the PC, spends one unit of fuel, takes one
+   {!State.step} and returns to the driver loop, so a fuel tail stops at
+   exactly the right instruction, inside a block.  A machine with a
+   trace hook (which must see every instruction) or with strict
+   alignment (each access checks its own address, which block batching
+   could not undo cheaply) never reaches this engine: {!Sim.run} runs it
+   on the reference loop.
 
-   Two invariants keep each slot translated once.  No translated closure
-   holds a slot's contents by value: every dispatch — fall-through,
-   branch target, a block's slow-path entry — reads its slot when it is
-   called, so once a slot is translated nothing reaches its stub again.
-   And in per-instruction mode the dispatch array and the
-   per-instruction array are one array, so the translation the driver
-   writes lands in the slot that dispatch reads.  Every dispatch is a
-   tail call, so a stub's raise abandons no work.
+   Each slot is translated once.  No translated closure holds a slot's
+   contents by value: every dispatch — fall-through, branch target,
+   computed jump — reads its slot when it is called, so once a block is
+   built nothing reaches its stub again.  Every dispatch is a tail call,
+   so the stub's raise abandons no work.
 
    Equivalence discipline: per-block batching reorders the bookkeeping
    against the architectural effects, but nothing can observe the
-   difference — the trace hook forces the per-instruction path, faults
+   difference — no trace hook runs in this engine, faults
    and syscalls only occur as block terminators (after the batch, like
    the reference's fetch-then-step), and within a straight line the pair
    accounting depends only on the entry state, which the turbo closure
@@ -95,28 +85,10 @@ let[@inline] fset fregs r x = set fregs r (Int64.bits_of_float x)
 let[@inline] sext32 (v : int64) = Int64.of_int32 (Int64.to_int32 v)
 let[@inline] bool64 b = if b then 1L else 0L
 
-(* One reference-step preamble: fuel, pair accounting (as in [Sim.fetch]),
-   trace, retired-instruction count.  Kept as a top-level function so every
-   compiled closure shares one direct call. *)
-let pre t pc pair insn =
-  if t.fuel <= 0 then begin
-    t.pc <- pc;
-    raise Fuel
-  end;
-  t.fuel <- t.fuel - 1;
-  if t.pending_pair && pc = t.prev_pc + 4 then t.pending_pair <- false
-  else begin
-    t.pair_cycles <- t.pair_cycles + 1;
-    t.pending_pair <- pair
-  end;
-  t.prev_pc <- pc;
-  (match t.trace with Some f -> f pc insn | None -> ());
-  t.insns <- t.insns + 1
-
-(* Conditional branches, shared by the turbo blocks' terminators and the
-   per-instruction closures.  The condition is inlined per constructor:
-   the branch at the end of every hot block must not pay an indirect call
-   (and a boxed operand) just to test a register against zero. *)
+(* Conditional branches, for the turbo blocks' terminators.  The
+   condition is inlined per constructor: the branch at the end of every
+   hot block must not pay an indirect call (and a boxed operand) just to
+   test a register against zero. *)
 let[@inline] branch t c (taken : unit -> unit) (fall : unit -> unit) =
   t.cond_branches <- t.cond_branches + 1;
   if c then begin
@@ -264,9 +236,8 @@ let[@inline] tlb_page tags pages view mem a =
     p
   end
 
-(* The effect translator for machine [t], shared by the turbo blocks and
-   the per-instruction closures.  One serves a whole translation, so
-   every closure shares its page TLBs. *)
+(* The effect translator for machine [t].  One serves a whole
+   translation, so every turbo block shares its page TLBs. *)
 let effects t =
   let regs = t.regs and fregs = t.fregs and mem = t.mem in
   (* One TLB per access kind, since the protection map distinguishes
@@ -543,146 +514,23 @@ let effects t =
   in
   effect
 
-(* Compile instruction [k] of the segment into its per-step closure: the
-   reference step's bookkeeping around the instruction's [effect].
-   Fall-through chains to the next per-step closure through [fs_steps].
-   Static branch targets dispatch through [fs_disp] — the block-dispatch
-   array — so that a
-   run that entered the slow path for a fuel check re-enters turbo blocks
-   at the next control transfer, while a traced run is bounced straight
-   back (the turbo entry re-checks the trace hook). *)
-let compile t sg k : int -> unit =
-  let { fs_code = cs; fs_disp = disp; fs_steps = fns; fs_effect = effect } = sg in
-  let regs = t.regs in
-  let n = Array.length cs.cs_insns in
-  let insn = insn cs k in
-  let pair = is_pair cs k in
-  let pc = cs.cs_base + (4 * k) in
-  let next = pc + 4 in
-  (* fall-through continuation: chain to the next closure, or exit the
-     segment with the PC set for the driver *)
-  let cont : unit -> unit =
-    if k + 1 < n then fun () -> (Array.unsafe_get fns (k + 1)) (k + 1)
-    else fun () -> t.pc <- next
-  in
-  (* static branch target: chain within the segment, else exit to driver *)
-  let goto target : unit -> unit =
-    let off = target - cs.cs_base in
-    if off >= 0 && off < 4 * n && off land 3 = 0 then begin
-      let ti = off lsr 2 in
-      fun () -> (Array.unsafe_get disp ti) ti
-    end
-    else fun () -> t.pc <- target
-  in
-  let open Insn in
-  match insn with
-  | Mem { op = Lda | Ldah; _ } | Opr _ | Fop _ -> (
-      let cyc = insn_cycles insn in
-      match effect insn with
-      | None ->
-          fun _ ->
-            pre t pc pair insn;
-            t.cycles <- t.cycles + cyc;
-            cont ()
-      | Some eff ->
-          fun _ ->
-            pre t pc pair insn;
-            t.cycles <- t.cycles + cyc;
-            eff ();
-            cont ())
-  | Mem { op; rb; disp = d; _ } ->
-      (* never [None]: a load into [$31] still reads *)
-      let eff = Option.get (effect insn) in
-      let load = is_load insn in
-      let access, align = mem_access_info op in
-      let amask = align - 1 in
-      fun _ ->
-        pre t pc pair insn;
-        t.cycles <- t.cycles + 2;
-        if t.strict_align && amask <> 0 then begin
-          let addr = Int64.to_int (get regs rb) + d in
-          if addr land amask <> 0 then begin
-            t.pc <- pc;
-            raise (Faulted (Fault.Unaligned { addr; access; pc }))
-          end
-        end;
-        if load then t.loads <- t.loads + 1 else t.stores <- t.stores + 1;
-        (try eff () with
-        | Mem.Prot { addr; access } ->
-            t.pc <- pc;
-            raise (Faulted (Fault.Segv { addr; access; pc }))
-        | Mem.Limit { limit; _ } ->
-            t.pc <- pc;
-            raise (Faulted (Fault.Mem_limit { limit; pc })));
-        cont ()
-  | Br { link; ra; disp = d } ->
-      let jump = goto (next + (4 * d)) in
-      let nxt64 = Int64.of_int next in
-      let set_ra = ra <> 31 in
-      if link then
-        fun _ ->
-          pre t pc pair insn;
-          t.cycles <- t.cycles + 1;
-          t.calls <- t.calls + 1;
-          if set_ra then set regs ra nxt64;
-          jump ()
-      else
-        fun _ ->
-          pre t pc pair insn;
-          t.cycles <- t.cycles + 1;
-          if set_ra then set regs ra nxt64;
-          jump ()
-  | Cbr { cond; ra; disp = d } ->
-      let br = cbr t regs cond ra (goto (next + (4 * d))) cont in
-      fun _ ->
-        pre t pc pair insn;
-        t.cycles <- t.cycles + 1;
-        br ()
-  | Fbr { cond; fa; disp = d } ->
-      let br = fbr t t.fregs cond fa (goto (next + (4 * d))) cont in
-      fun _ ->
-        pre t pc pair insn;
-        t.cycles <- t.cycles + 1;
-        br ()
-  | Jump { kind; ra; rb; hint = _ } ->
-      let is_call = kind = Jsr in
-      let set_ra = ra <> 31 in
-      let nxt64 = Int64.of_int next in
-      fun _ ->
-        pre t pc pair insn;
-        t.cycles <- t.cycles + 1;
-        if is_call then t.calls <- t.calls + 1;
-        let target = Int64.to_int (get regs rb) land lnot 3 in
-        if set_ra then set regs ra nxt64;
-        t.pc <- target
-  | Call_pal 0x83 ->
-      fun _ ->
-        pre t pc pair insn;
-        t.cycles <- t.cycles + 10;
-        (* the reference leaves [pc] at the call_pal while the syscall runs:
-           [exit] halts here and an unknown call number quotes this PC *)
-        t.pc <- pc;
-        syscall t;
-        cont ()
-  | Call_pal p ->
-      fun _ ->
-        pre t pc pair insn;
-        t.pc <- pc;
-        raise (Faulted (Fault.Bad_pal { num = p; pc }))
-  | Raw w ->
-      fun _ ->
-        pre t pc pair insn;
-        t.pc <- pc;
-        raise (Faulted (Fault.Illegal_insn { word = w; pc }))
+(* One reference step at [pc], for code no turbo block covers: a slot
+   entered in the middle of a block, or a block longer than the
+   remaining fuel.  Control then returns to the driver loop, which
+   enters the next PC. *)
+let ref_step t pc =
+  t.pc <- pc;
+  if t.fuel <= 0 then raise Fuel;
+  t.fuel <- t.fuel - 1;
+  step t
 
 (* A chain merges no further piece once it holds this many instructions. *)
 let chain_cap = 64
 
 (* The turbo closure for the block (superblock chain) that starts at
-   leader [l] of the segment.  Called by the leader's stub on first
-   entry. *)
+   leader [l] of the segment, built when the leader's stub first runs. *)
 let build_block t sg l : int -> unit =
-  let { fs_code = cs; fs_disp = disp; fs_steps = fns; fs_effect = effect } = sg in
+  let { fs_code = cs; fs_disp = disp; fs_effect = effect } = sg in
   let regs = t.regs and fregs = t.fregs in
   let insn_at = insn cs and base = cs.cs_base in
   let n = Array.length cs.cs_insns in
@@ -956,11 +804,8 @@ let build_block t sg l : int -> unit =
           tl ()
   in
   let body = seq effs term in
-  (* the slow path reads the leader's per-instruction slot when taken:
-     bound by value, it would keep calling the slot's first-use stub *)
   if nloads = 0 && nstores = 0 && ncalls_mid = 0 then fun _ ->
-    if t.fuel < n_ins then (Array.unsafe_get fns l) l
-      (* per-step fuel checks stop inside the block *)
+    if t.fuel < n_ins then ref_step t base_pc
     else begin
       t.fuel <- t.fuel - n_ins;
       if t.pending_pair && base_pc = t.prev_pc + 4 then begin
@@ -979,7 +824,7 @@ let build_block t sg l : int -> unit =
       body ()
     end
   else fun _ ->
-    if t.fuel < n_ins then (Array.unsafe_get fns l) l
+    if t.fuel < n_ins then ref_step t base_pc
     else begin
       t.fuel <- t.fuel - n_ins;
       if t.pending_pair && base_pc = t.prev_pc + 4 then begin
@@ -1001,68 +846,43 @@ let build_block t sg l : int -> unit =
       body ()
     end
 
-(* The two slot stubs, shared by every slot of every program.  Neither
-   is a closure over anything, so filling a slot array with them costs
-   no write barrier.  A stub raises its slot's index to the driver loop,
-   which translates the slot in the segment it entered and calls the
-   translation.  Every dispatch is a tail call, so the raise abandons no
-   work: the translation continues exactly where the stub was called. *)
-exception Untranslated_step of int
-exception Untranslated_block of int
+(* The slot stub, shared by every slot of every program.  It is not a
+   closure over anything, so filling a slot array with it costs no write
+   barrier.  It raises its slot's index to the driver loop, which builds
+   the block at a leader and calls it, and takes a reference step
+   anywhere else.  Every dispatch is a tail call, so the raise abandons
+   no work: the translation continues exactly where the stub was
+   called. *)
+exception Untranslated of int
 
-let step_stub k = raise_notrace (Untranslated_step k)
-let block_stub k = raise_notrace (Untranslated_block k)
+let stub k = raise_notrace (Untranslated k)
 
-(* Compile instruction [k]'s step closure into its per-instruction slot,
-   and into its dispatch slot unless a leader's turbo block goes there:
-   a computed jump can land mid-block, and per-step closures cover those
-   entries and rejoin the turbo blocks at the next control transfer. *)
-let fill_step t sg k =
-  let f = compile t sg k in
-  sg.fs_steps.(k) <- f;
-  if not (is_leader sg.fs_code k) then sg.fs_disp.(k) <- f;
-  f
-
-(* Every dispatch slot starts as the block stub.  Translating one builds
-   the turbo block at a leader, and the step closure anywhere else. *)
-let fill_block t sg k =
-  if is_leader sg.fs_code k then begin
-    let b = build_block t sg k in
-    t.blocks_built <- t.blocks_built + 1;
-    sg.fs_disp.(k) <- b;
-    b
-  end
-  else fill_step t sg k
-
-(* Set up the machine's translation: nothing is compiled here, and every
-   slot starts as a stub.  Translation is trace-aware: with a hook
-   installed the dispatch array simply is the per-instruction array (the
-   hook must see every step), and [Sim.set_trace] invalidates any cached
-   translation.  Strict alignment forces the same per-instruction path:
-   each access then checks its own address against the opcode's natural
-   alignment, which block batching could not undo cheaply. *)
+(* Set up the machine's translation: nothing is translated here, and
+   every slot starts as the stub. *)
 let translate t =
   let effect = effects t in
-  let per_insn =
-    (match t.trace with Some _ -> true | None -> false) || t.strict_align
-  in
   List.map
     (fun cs ->
-      let n = Array.length cs.cs_insns in
-      let steps = Array.make n step_stub in
-      let disp = if per_insn then steps else Array.make n block_stub in
-      { fs_code = cs; fs_disp = disp; fs_steps = steps; fs_effect = effect })
+      let disp = Array.make (Array.length cs.cs_insns) stub in
+      { fs_code = cs; fs_disp = disp; fs_effect = effect })
     t.code
 
 let run ~max_insns t =
   (match t.fast with [] -> t.fast <- translate t | _ :: _ -> ());
   let segs = t.fast in
-  (* call slot [k] of [sg]; a stub the call reaches is translated here *)
+  (* call slot [k] of [sg]; a leader's stub the call reaches gets its
+     block built here, any other takes a reference step *)
   let rec call sg (f : int -> unit) k =
     match f k with
     | () -> ()
-    | exception Untranslated_block j -> call sg (fill_block t sg j) j
-    | exception Untranslated_step j -> call sg (fill_step t sg j) j
+    | exception Untranslated j ->
+        if is_leader sg.fs_code j then begin
+          let b = build_block t sg j in
+          t.blocks_built <- t.blocks_built + 1;
+          sg.fs_disp.(j) <- b;
+          call sg b j
+        end
+        else ref_step t (sg.fs_code.cs_base + (4 * j))
   in
   (* run the slot that holds [pc], as the reference fetch locates it *)
   let rec enter pc = function
@@ -1084,6 +904,7 @@ let run ~max_insns t =
   | Halted code -> Exit code
   | Faulted f -> Fault f
   | Fuel -> Out_of_fuel
-  (* belt and braces: every translated access converts these itself *)
+  (* from a reference step; every translated access converts these
+     itself *)
   | Mem.Prot { addr; access } -> Fault (Fault.Segv { addr; access; pc = t.pc })
   | Mem.Limit { limit; _ } -> Fault (Fault.Mem_limit { limit; pc = t.pc })

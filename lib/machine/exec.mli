@@ -1,14 +1,16 @@
 (** The closure-compiled fast execution engine.
 
-    Code is translated into specialized OCaml closures on first entry:
-    each basic block the first time control reaches its leader, each
-    instruction's single-step closure the first time it is needed.
-    Operand registers, sign-extended displacements, literals, the operate
+    Code is translated into specialized OCaml closures one basic block at
+    a time, the first time control reaches the block's leader.  Operand
+    registers, sign-extended displacements, literals, the operate
     function and PC-relative branch targets are all resolved at
     translation time, and fall-through chains dispatch closure-to-closure
     without re-entering the fetch loop.  A run translates only the code it
     executes; the translations live on the machine, so later runs of the
-    same machine reuse them.
+    same machine reuse them.  Where no block runs — an entry into the
+    middle of a block, or a block longer than the remaining fuel — the
+    engine takes the reference step ({!State.step}) one instruction at a
+    time.
 
     The engine is observationally bit-identical to the {!Sim} reference
     interpreter: same outcomes and fault messages, same final registers,
@@ -41,4 +43,6 @@ val tlb_size : int
 
 val run : max_insns:int -> State.t -> State.outcome
 (** Execute until exit, fault or fuel exhaustion after [max_insns]
-    instructions, exactly as [Sim.run] would on the reference engine. *)
+    instructions, exactly as [Sim.run] would on the reference engine.
+    The machine must have no trace hook and no strict alignment:
+    [Sim.run] runs such a machine on the reference loop instead. *)

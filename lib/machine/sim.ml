@@ -178,157 +178,6 @@ let load ?engine ?stdin ?inputs ?protect ?max_pages ?stack_bytes ?brk_max
   start ?engine ?stdin ?inputs ?protect ?max_pages ?stack_bytes ?brk_max
     ?strict_align (prepare exe)
 
-let fetch t pc =
-  let rec go = function
-    | [] -> raise (Faulted (Fault.Bad_pc { pc }))
-    | cs :: rest ->
-        let off = pc - cs.cs_base in
-        if off >= 0 && off < 4 * Array.length cs.cs_insns && off land 3 = 0 then begin
-          let idx = off lsr 2 in
-          (* dual-issue accounting: an instruction rides free when its
-             predecessor issued as the first of a compatible aligned pair
-             and control actually fell through to it *)
-          if t.pending_pair && pc = t.prev_pc + 4 then t.pending_pair <- false
-          else begin
-            t.pair_cycles <- t.pair_cycles + 1;
-            (* [State.is_pair] and [State.insn], without a call on the
-               hot path *)
-            t.pending_pair <-
-              Char.code (Bytes.unsafe_get cs.cs_flags idx) land pair_bit <> 0
-          end;
-          t.prev_pc <- pc;
-          let i = Array.unsafe_get cs.cs_insns idx in
-          if i != undecoded then i else insn cs idx
-        end
-        else go rest
-  in
-  go t.code
-
-let step t =
-  let i = fetch t t.pc in
-  (match t.trace with Some f -> f t.pc i | None -> ());
-  t.insns <- t.insns + 1;
-  let next = t.pc + 4 in
-  let open Insn in
-  (match i with
-  | Mem { op = Lda; ra; rb; disp } ->
-      t.cycles <- t.cycles + 1;
-      setr t ra (Int64.add (getr t rb) (Int64.of_int disp));
-      t.pc <- next
-  | Mem { op = Ldah; ra; rb; disp } ->
-      t.cycles <- t.cycles + 1;
-      setr t ra (Int64.add (getr t rb) (Int64.of_int (disp * 65536)));
-      t.pc <- next
-  | Mem { op; ra; rb; disp } ->
-      t.cycles <- t.cycles + 2;
-      let addr = Int64.to_int (Int64.add (getr t rb) (Int64.of_int disp)) in
-      if t.strict_align then begin
-        let access, align = mem_access_info op in
-        if align > 1 && addr land (align - 1) <> 0 then
-          raise (Faulted (Fault.Unaligned { addr; access; pc = t.pc }))
-      end;
-      (match op with
-      | Ldbu ->
-          t.loads <- t.loads + 1;
-          setr t ra (Int64.of_int (Mem.read_u8 t.mem addr))
-      | Ldwu ->
-          t.loads <- t.loads + 1;
-          setr t ra (Int64.of_int (Mem.read_u16 t.mem addr))
-      | Ldl ->
-          t.loads <- t.loads + 1;
-          setr t ra (sext32 (Int64.of_int (Mem.read_u32 t.mem addr)))
-      | Ldq ->
-          t.loads <- t.loads + 1;
-          setr t ra (Mem.read_u64 t.mem addr)
-      | Ldq_u ->
-          t.loads <- t.loads + 1;
-          setr t ra (Mem.read_u64 t.mem (addr land lnot 7))
-      | Ldt ->
-          t.loads <- t.loads + 1;
-          setf t ra (Mem.read_u64 t.mem addr)
-      | Stb ->
-          t.stores <- t.stores + 1;
-          Mem.write_u8 t.mem addr (Int64.to_int (getr t ra))
-      | Stw ->
-          t.stores <- t.stores + 1;
-          Mem.write_u16 t.mem addr (Int64.to_int (Int64.logand (getr t ra) 0xFFFFL))
-      | Stl ->
-          t.stores <- t.stores + 1;
-          Mem.write_u32 t.mem addr (Int64.to_int (Int64.logand (getr t ra) 0xFFFFFFFFL))
-      | Stq ->
-          t.stores <- t.stores + 1;
-          Mem.write_u64 t.mem addr (getr t ra)
-      | Stq_u ->
-          t.stores <- t.stores + 1;
-          Mem.write_u64 t.mem (addr land lnot 7) (getr t ra)
-      | Stt ->
-          t.stores <- t.stores + 1;
-          Mem.write_u64 t.mem addr (getf t ra)
-      | Lda | Ldah -> assert false);
-      t.pc <- next
-  | Opr { op; ra; rb; rc } ->
-      t.cycles <- t.cycles + (match op with Mull | Mulq | Umulh -> 8 | _ -> 1);
-      let b = match rb with Reg r -> getr t r | Imm n -> Int64.of_int n in
-      if is_cmov op then begin
-        if cmov_cond op (getr t ra) then setr t rc b
-      end
-      else setr t rc (eval_opr op (getr t ra) b);
-      t.pc <- next
-  | Fop { op; fa; fb; fc } ->
-      t.cycles <- t.cycles + (match op with Divt -> 30 | Cpys | Cpysn -> 1 | _ -> 4);
-      (match op with
-      | Addt -> setfv t fc (getfv t fa +. getfv t fb)
-      | Subt -> setfv t fc (getfv t fa -. getfv t fb)
-      | Mult -> setfv t fc (getfv t fa *. getfv t fb)
-      | Divt -> setfv t fc (getfv t fa /. getfv t fb)
-      | Cmpteq -> setfv t fc (if getfv t fa = getfv t fb then 2.0 else 0.0)
-      | Cmptlt -> setfv t fc (if getfv t fa < getfv t fb then 2.0 else 0.0)
-      | Cmptle -> setfv t fc (if getfv t fa <= getfv t fb then 2.0 else 0.0)
-      | Cvtqt -> setfv t fc (Int64.to_float (getf t fb))
-      | Cvttq -> setf t fc (Int64.of_float (getfv t fb))
-      | Cpys ->
-          let sign = Int64.logand (getf t fa) Int64.min_int in
-          setf t fc (Int64.logor sign (Int64.logand (getf t fb) Int64.max_int))
-      | Cpysn ->
-          let sign =
-            Int64.logand (Int64.lognot (getf t fa)) Int64.min_int
-          in
-          setf t fc (Int64.logor sign (Int64.logand (getf t fb) Int64.max_int)));
-      t.pc <- next
-  | Br { link; ra; disp } ->
-      t.cycles <- t.cycles + 1;
-      if link then t.calls <- t.calls + 1;
-      setr t ra (Int64.of_int next);
-      t.pc <- next + (4 * disp)
-  | Cbr { cond; ra; disp } ->
-      t.cycles <- t.cycles + 1;
-      t.cond_branches <- t.cond_branches + 1;
-      if br_taken cond (getr t ra) then begin
-        t.taken <- t.taken + 1;
-        t.pc <- next + (4 * disp)
-      end
-      else t.pc <- next
-  | Fbr { cond; fa; disp } ->
-      t.cycles <- t.cycles + 1;
-      t.cond_branches <- t.cond_branches + 1;
-      if fbr_taken cond (getfv t fa) then begin
-        t.taken <- t.taken + 1;
-        t.pc <- next + (4 * disp)
-      end
-      else t.pc <- next
-  | Jump { kind; ra; rb; hint = _ } ->
-      t.cycles <- t.cycles + 1;
-      if kind = Jsr then t.calls <- t.calls + 1;
-      let target = Int64.to_int (getr t rb) land lnot 3 in
-      setr t ra (Int64.of_int next);
-      t.pc <- target
-  | Call_pal 0x83 ->
-      t.cycles <- t.cycles + 10;
-      syscall t;
-      t.pc <- next
-  | Call_pal n -> raise (Faulted (Fault.Bad_pal { num = n; pc = t.pc }))
-  | Raw w -> raise (Faulted (Fault.Illegal_insn { word = w; pc = t.pc })))
-
 let run_ref ~max_insns t =
   let rec go budget =
     if budget <= 0 then Out_of_fuel
@@ -344,10 +193,13 @@ let run_ref ~max_insns t =
   in
   go max_insns
 
+(* A traced or strict-alignment machine runs on the reference loop
+   whichever engine it was started with: the hook must see every
+   instruction, and each access checks its own alignment. *)
 let run ?(max_insns = default_max_insns) t =
-  match t.engine with
-  | Ref -> run_ref ~max_insns t
-  | Fast -> Exec.run ~max_insns t
+  match (t.engine, t.trace) with
+  | Fast, None when not t.strict_align -> Exec.run ~max_insns t
+  | _ -> run_ref ~max_insns t
 
 let stats t =
   {
@@ -390,11 +242,7 @@ let pc t = t.pc
 let mem t = t.mem
 let brk t = t.brk
 let read_u64 t a = Mem.peek_u64 t.mem a
-(* Installing a hook invalidates any cached translation: the fast engine
-   compiles trace-aware code (per-instruction when a hook is present). *)
-let set_trace t f =
-  t.trace <- Some f;
-  t.fast <- []
+let set_trace t f = t.trace <- Some f
 let set_reg t r v = setr t r v
 let set_freg_bits t r v = setf t r v
 let set_pc t pc = t.pc <- pc

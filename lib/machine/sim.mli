@@ -18,14 +18,16 @@
     links into it — never runs.
 
     Two engines execute the code.  [Ref] is the reference
-    interpreter in this module: a decode-then-dispatch loop that serves as
-    the executable specification.  [Fast] (the default) is {!Exec}'s
-    closure-compiled engine: each basic block is translated, the first
-    time it runs, into specialized closures with operands, displacements
-    and branch targets resolved at translation time.  The two are
-    observationally bit-identical — outcome, registers, memory,
-    statistics, trace stream — which [test/test_engine_diff.ml] enforces
-    differentially. *)
+    interpreter in this module: a loop over the decode-then-dispatch step
+    {!State.step}, which serves as the executable specification.  [Fast]
+    (the default) is {!Exec}'s closure-compiled engine: each basic block
+    is translated, the first time it runs, into specialized closures with
+    operands, displacements and branch targets resolved at translation
+    time, and the few instructions no block covers take the reference
+    step.  A [Fast] machine with a trace hook or strict alignment runs on
+    the reference loop.  The two are observationally bit-identical —
+    outcome, registers, memory, statistics, trace stream — which
+    [test/test_engine_diff.ml] enforces differentially. *)
 
 type t
 
@@ -183,8 +185,9 @@ val blocks_translated : t -> int * int
     this machine so far, and how many basic-block leaders its code has —
     the most it could build.  A block is built the first time a run
     enters its leader, so [built] counts the blocks reached.  It is 0 on
-    the reference engine, and it does not grow while every instruction
-    runs singly (a trace hook is installed, or [strict_align] is on). *)
+    the reference engine, and it does not grow while a trace hook is
+    installed or [strict_align] is on: {!run} then takes the reference
+    loop. *)
 
 val words_decoded : t -> int * int
 (** [(decoded, words)]: how many of the code words of the machine's image
@@ -212,7 +215,9 @@ val read_u64 : t -> int -> int64
 
 val set_trace : t -> (int -> Alpha.Insn.t -> unit) -> unit
 (** Install a per-instruction hook (used by tests to observe execution).
-    Both engines deliver the identical [(pc, insn)] stream. *)
+    From then on {!run} takes the reference loop on either engine, so
+    both deliver the identical [(pc, insn)] stream; the blocks a [Fast]
+    machine has already translated are kept. *)
 
 val set_reg : t -> Alpha.Reg.t -> int64 -> unit
 (** Overwrite an integer register before a run (for tests; writes to [$31]

@@ -3,7 +3,8 @@
     and {!Exec}'s closure-compiled fast engine.  Everything observable —
     registers, memory, the VFS, the statistics counters and the trace
     hook — lives here so that both engines mutate the same state in the
-    same order, which is what makes them differentially testable. *)
+    same order, which is what makes them differentially testable.  So
+    does the reference step itself ({!step}), which both engines run. *)
 
 open Alpha
 
@@ -47,10 +48,8 @@ type fast_seg = {
   fs_code : code_seg;
   fs_disp : (int -> unit) array;
       (** block dispatch: [fs_disp.(k)] runs the code at word [k] and is
-          always called with [k] *)
-  fs_steps : (int -> unit) array;
-      (** per-instruction closures, called alike; under per-instruction
-          translation this is [fs_disp] itself *)
+          always called with [k]; a leader's slot holds its turbo block
+          once built, every other slot the stub *)
   fs_effect : Insn.t -> (unit -> unit) option;
       (** the machine's effect translator, shared by the segment's
           translations *)
@@ -131,25 +130,22 @@ val getr : t -> int -> int64
 val setr : t -> int -> int64 -> unit
 val getf : t -> int -> int64
 val setf : t -> int -> int64 -> unit
-val getfv : t -> int -> float
-val setfv : t -> int -> float -> unit
-
-val sext32 : int64 -> int64
 
 val eval_opr : Insn.opr_op -> int64 -> int64 -> int64
 (** Result of a non-conditional-move operate instruction. *)
-
-val cmov_cond : Insn.opr_op -> int64 -> bool
-val is_cmov : Insn.opr_op -> bool
-val br_taken : Insn.br_cond -> int64 -> bool
-val fbr_taken : Insn.fbr_cond -> float -> bool
-
-val mem_access_info : Insn.mem_op -> Fault.access * int
-(** The access kind and natural alignment of a memory-format opcode
-    ([Ldq_u]/[Stq_u] report alignment 1: they align their own address). *)
 
 val syscall : t -> unit
 (** Execute the system call selected by [$v0]; raises [Halted] for [exit]
     and [Faulted] for an unknown call number or a memory fault touching
     the program's buffers (both quote [t.pc], which must point at the
     [call_pal] instruction in either engine). *)
+
+val step : t -> unit
+(** The reference step: fetch the instruction at [t.pc] — a PC outside
+    the code raises [Faulted] with {!Fault.Bad_pc} — charge the dual-issue
+    pair accounting, call the trace hook, count the instruction and its
+    cycles, execute it and advance [t.pc].  A fault leaves [t.pc] at the
+    faulting instruction; a load or store outside the protection map
+    raises {!Mem.Prot} (or {!Mem.Limit}) for the caller to convert.  It
+    checks no fuel.  {!Sim}'s reference loop is this step alone; the fast
+    engine takes it wherever no turbo block runs. *)

@@ -271,7 +271,11 @@ let check_image ~original ~instrumented ~(info : I.info) =
           flag "pc-map" ~addr:old "old PC maps to unaligned %#x" n;
         prev := n
   done;
-  (* Figure-4 layout: program addresses pristine, analysis in the gap *)
+  (* Figure-4 layout: program addresses pristine, analysis in the gap,
+     and an image the loader accepts *)
+  (match Exe.validate instrumented with
+  | _ -> ()
+  | exception Objfile.Wire.Corrupt m -> flag "layout" "%s" m);
   if instrumented.Exe.x_text_start <> original.Exe.x_text_start then
     flag "layout" "text base moved: %#x -> %#x" original.Exe.x_text_start
       instrumented.Exe.x_text_start;

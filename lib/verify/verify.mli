@@ -12,7 +12,8 @@
     [bsr] may leave the program text, and only for a wrapper or analysis
     procedure); the old-to-new PC map is total, strictly increasing and
     lands inside the new text; the Figure-4 layout holds (program data
-    addresses untouched, analysis module in the text–data gap); and every
+    addresses untouched, analysis module in the text–data gap) and the
+    image passes {!Objfile.Exe.validate}, as the loader requires; and every
     stub opens a frame, saves what the active save strategy requires,
     calls the procedure the audit names, restores exactly what it saved,
     and closes the frame — cross-checked against {!Om.Liveness} of the

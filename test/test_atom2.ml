@@ -64,6 +64,19 @@ let test_api_errors () =
   expect_error "seven parameters" (fun api ->
       Atom.Api.add_call_proto api "X(int,int,int,int,int,int,int)")
 
+(* An instrumented image's analysis region fills the text gap, so a
+   second instrumentation would map two regions over each other: the
+   instrumenter refuses its input instead *)
+let test_reinstrument () =
+  let tool name = Option.get (Tools.Registry.find name) in
+  let exe = compile "long main(void) { return 0; }" in
+  let branch, _ = Tools.Tool.apply (tool "branch") exe in
+  match Tools.Tool.apply (tool "prof") branch with
+  | _ -> Alcotest.fail "an instrumented image was instrumented again"
+  | exception Atom.Instrument.Error m ->
+      if not (String.starts_with ~prefix:"input is already instrumented" m)
+      then Alcotest.failf "unexpected error: %s" m
+
 (* -- pristine values -------------------------------------------------------- *)
 
 (* Record $sp and $a0 at every entry to a chosen procedure, both via a
@@ -396,7 +409,12 @@ let () =
   Alcotest.run "atom2"
     [
       ("proto", [ Alcotest.test_case "parsing" `Quick test_proto_parse ]);
-      ("api", [ Alcotest.test_case "misuse errors" `Quick test_api_errors ]);
+      ( "api",
+        [
+          Alcotest.test_case "misuse errors" `Quick test_api_errors;
+          Alcotest.test_case "instrumented input refused" `Quick
+            test_reinstrument;
+        ] );
       ( "pristine",
         [
           Alcotest.test_case "REGV sp/a0 vs trace" `Quick test_pristine_regv;

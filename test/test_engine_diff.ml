@@ -33,18 +33,12 @@ let check_stats label m_ref m_fast =
           (field s_fast))
     stat_fields
 
-(* [per_insn] installs a no-op trace hook on the fast machine, which runs
-   every instruction through the engine's per-instruction closures *)
-let check_cell ?tag ?(per_insn = false) label exe =
+let check_cell ?tag label exe =
   let label =
     match tag with None -> label | Some t -> label ^ " (" ^ t ^ ")"
   in
   let o_ref, m_ref = Workloads.run_exe ~engine:Machine.Sim.Ref exe in
-  let o_fast, m_fast =
-    let m = Machine.Sim.load ~engine:Machine.Sim.Fast exe in
-    if per_insn then Machine.Sim.set_trace m (fun _ _ -> ());
-    (Machine.Sim.run m, m)
-  in
+  let o_fast, m_fast = Workloads.run_exe ~engine:Machine.Sim.Fast exe in
   if o_ref <> o_fast then
     Alcotest.failf "%s: outcome ref=%s fast=%s" label (outcome_str o_ref)
       (outcome_str o_fast);
@@ -91,9 +85,7 @@ let on_two_domains check workloads =
 let test_uninstrumented () =
   on_two_domains
     (fun w ->
-      let exe = Workloads.compile w in
-      check_cell w.Workloads.w_name exe;
-      check_cell ~tag:"per-instruction" ~per_insn:true w.Workloads.w_name exe)
+      check_cell w.Workloads.w_name (Workloads.compile w))
     Workloads.all
 
 let test_tool tool () =
@@ -204,9 +196,9 @@ let test_dead_code () =
   Alcotest.(check int) "blocks built do not depend on dead code" built_s
     built_l
 
-(* [jmp] lands in the middle of a block whose leader never runs; the
-   per-step closures run up to the next control transfer, whose target
-   is a turbo block again *)
+(* [jmp] lands in the middle of a block whose leader never runs;
+   reference steps run up to the next control transfer, whose target is
+   a turbo block again *)
 let test_jump_mid_block () =
   let m =
     run_both
@@ -470,8 +462,8 @@ let qsort_trace () =
 (* Installing the stubs: one instruction of a run of qsort instrumented
    with the trace tool, whose first entry installs a stub in every slot
    of every code segment.  This pins "no closure per code word": a
-   segment's two slot arrays, once longer than 256 words, are allocated
-   in the major heap, which [Gc.minor_words] does not count. *)
+   segment's slot array, once longer than 256 words, is allocated in the
+   major heap, which [Gc.minor_words] does not count. *)
 let test_alloc_per_word () =
   let exe, words = qsort_trace () in
   let m = Machine.Sim.start ~engine:Machine.Sim.Fast (Machine.Sim.prepare exe) in

@@ -94,14 +94,17 @@ let test_roundtrip () =
       Alcotest.failf "roundtrip %d: %#x re-encodes as %#x" i w w'
   done
 
-(* -- single-step differential -------------------------------------------- *)
+(* -- single-instruction differential -------------------------------------- *)
 
 let nop_word = Alpha.Code.encode Alpha.Insn.nop
+
+(* the words of a probe image *)
+let probe_words = 6
 
 (* a probe image: the instruction under test at the entry point, padded
    with no-ops so small forward branch targets stay inside the segment *)
 let make_exe w =
-  let words = [ w; nop_word; nop_word; nop_word; nop_word; nop_word ] in
+  let words = w :: List.init (probe_words - 1) (fun _ -> nop_word) in
   let text = Bytes.create (4 * List.length words) in
   List.iteri (fun i w -> Alpha.Code.write_word text (4 * i) w) words;
   let data = Bytes.make 8192 '\000' in
@@ -145,13 +148,17 @@ let outcome_str = function
   | Machine.Sim.Fault f -> "fault " ^ Machine.Fault.to_string f
   | Machine.Sim.Out_of_fuel -> "out of fuel"
 
+(* Run the probe image of [w] from the given registers.  The budget
+   covers the whole image, so the fast engine runs the instruction in the
+   turbo block that starts at the entry: a budget shorter than that block
+   would make both engines take the reference step. *)
 let step engine w regs fregs =
   let m = Machine.Sim.load ~engine (make_exe w) in
   for r = 0 to 30 do
     Machine.Sim.set_reg m r regs.(r);
     Machine.Sim.set_freg_bits m r fregs.(r)
   done;
-  let outcome = Machine.Sim.run ~max_insns:1 m in
+  let outcome = Machine.Sim.run ~max_insns:probe_words m in
   (outcome, m)
 
 let test_step_agreement () =

@@ -1,6 +1,7 @@
 (* The post-instrumentation verifier: a clean instrumentation passes every
    check; deliberate corruptions (a bit-flipped branch, a dropped register
-   save, a perturbed data base, a non-canonical encoding) are each caught
+   save, a perturbed data base, a non-canonical encoding, overlapping
+   segments) are each caught
    by the named detector, also when the saves are live-filtered; the
    64-bit load_const materialisation is exact at its boundaries; and
    branches at the disp21 limit either relocate correctly or fail with a
@@ -209,6 +210,18 @@ let corrupt_encoding exe' info =
   set_word bad addr w;
   bad
 
+(* corruption 5: map a second segment over the analysis region, which
+   is what instrumenting an instrumented image would produce; the loader
+   refuses such an image (Exe.validate) *)
+let corrupt_overlap exe' info =
+  let bad = copy_image exe' in
+  let rg_base, _ = info.I.i_audit.I.au_anal_region in
+  let extra =
+    { Exe.seg_vaddr = rg_base; seg_bytes = Bytes.make 16 '\000'; seg_bss = 0;
+      seg_write = false }
+  in
+  { bad with Exe.x_segs = bad.Exe.x_segs @ [ extra ] }
+
 let test_corrupt_branch () =
   let exe, exe', info = Lazy.force instrumented in
   let bad = corrupt_branch exe' info in
@@ -232,6 +245,25 @@ let test_corrupt_data_base () =
   Alcotest.(check bool)
     "layout fired" true
     (List.mem "layout" (checks_fired rep))
+
+let test_corrupt_overlap () =
+  let exe, exe', info = Lazy.force instrumented in
+  let bad = corrupt_overlap exe' info in
+  (match Exe.validate bad with
+  | _ -> Alcotest.fail "the loader accepts overlapping segments"
+  | exception Objfile.Wire.Corrupt _ -> ());
+  let rep = Verify.check_image ~original:exe ~instrumented:bad ~info in
+  if
+    not
+      (List.exists
+         (fun i ->
+           i.Verify.v_check = "layout"
+           && String.starts_with ~prefix:"malformed executable"
+                i.Verify.v_detail)
+         rep.Verify.r_issues)
+  then
+    Alcotest.failf "overlapping segments not reported:\n%s"
+      (Verify.report_to_string rep)
 
 let test_corrupt_encoding () =
   let exe, exe', info = Lazy.force instrumented in
@@ -539,6 +571,8 @@ let () =
             test_corrupt_data_base;
           Alcotest.test_case "non-canonical encoding caught" `Quick
             test_corrupt_encoding;
+          Alcotest.test_case "overlapping segments caught" `Quick
+            test_corrupt_overlap;
           Alcotest.test_case "diagnostics distinct" `Quick
             test_distinct_diagnostics;
         ] );
