@@ -21,30 +21,7 @@ let clear_caches () =
   Atom.Toolcache.clear ();
   Rtlib.clear_cache ()
 
-(* wrapper/proc address lists come out of hash-table folds; order is not
-   part of the audit's meaning *)
-let norm_audit (a : I.audit) =
-  {
-    a with
-    I.au_wrappers = List.sort compare a.I.au_wrappers;
-    au_procs = List.sort compare a.I.au_procs;
-  }
-
 (* -- cache identity ------------------------------------------------------ *)
-
-let option_matrix =
-  [
-    I.default_options;
-    { I.default_options with I.save_strategy = I.Summary_and_live };
-    { I.default_options with I.call_style = I.Inline_saves };
-    {
-      I.save_strategy = I.Summary_and_live;
-      call_style = I.Inline_body;
-      heap_mode = I.Partitioned (1 lsl 24);
-    };
-    (* the one style that computes liveness whatever the save strategy *)
-    { I.default_options with I.call_style = I.Specialized };
-  ]
 
 let test_cold_warm_identity () =
   clear_caches ();
@@ -53,7 +30,7 @@ let test_cold_warm_identity () =
   Alcotest.(check bool) "warm image byte-identical to cold" true
     (exe_bytes exe1 = exe_bytes exe2);
   Alcotest.(check bool) "warm audit identical to cold" true
-    (norm_audit info1.I.i_audit = norm_audit info2.I.i_audit)
+    (Matrix.norm_audit info1.I.i_audit = Matrix.norm_audit info2.I.i_audit)
 
 (* each cell under each option set, from empty caches and then warm *)
 let test_option_set_identity () =
@@ -69,8 +46,8 @@ let test_option_set_identity () =
             true
             (exe_bytes e_cold = exe_bytes e_warm);
           Alcotest.(check bool) (cell ^ ": warm audit identical to cold") true
-            (norm_audit i_cold.I.i_audit = norm_audit i_warm.I.i_audit))
-        option_matrix)
+            (Matrix.norm_audit i_cold.I.i_audit = Matrix.norm_audit i_warm.I.i_audit))
+        Matrix.option_matrix)
     [ ("branch", "sieve"); ("malloc", "qsort"); ("unalign", "sieve") ]
 
 let test_cache_accounting () =
