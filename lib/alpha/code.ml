@@ -36,10 +36,16 @@ let opr_codes = function
   | Insql -> (0x12, 0x3B) | Sra -> (0x12, 0x3C)
   | Mull -> (0x13, 0x00) | Mulq -> (0x13, 0x20) | Umulh -> (0x13, 0x30)
 
-let opr_of_codes =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun op -> Hashtbl.replace tbl (opr_codes op) op) all_opr_ops;
-  fun codes -> Hashtbl.find_opt tbl codes
+(* Decode tables indexed directly by the function code: one 128-entry
+   row per integer-operate opcode, [(opc - 0x10) * 128 + func]. *)
+let opr_table =
+  let t = Array.make (4 * 128) None in
+  List.iter
+    (fun op ->
+      let opc, func = opr_codes op in
+      t.(((opc - 0x10) lsl 7) lor func) <- Some op)
+    all_opr_ops;
+  t
 
 let fop_codes = function
   | Addt -> (0x16, 0x0A0) | Subt -> (0x16, 0x0A1) | Mult -> (0x16, 0x0A2)
@@ -47,10 +53,16 @@ let fop_codes = function
   | Cmptle -> (0x16, 0x0A7) | Cvttq -> (0x16, 0x0AF) | Cvtqt -> (0x16, 0x0BE)
   | Cpys -> (0x17, 0x020) | Cpysn -> (0x17, 0x021)
 
-let fop_of_codes =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun op -> Hashtbl.replace tbl (fop_codes op) op) all_fop_ops;
-  fun codes -> Hashtbl.find_opt tbl codes
+(* one 2,048-entry row per floating-operate opcode,
+   [(opc - 0x16) * 2048 + func] *)
+let fop_table =
+  let t = Array.make (2 * 2048) None in
+  List.iter
+    (fun op ->
+      let opc, func = fop_codes op in
+      t.(((opc - 0x16) lsl 11) lor func) <- Some op)
+    all_fop_ops;
+  t
 
 let cbr_opcode = function
   | Blbc -> 0x38 | Beq -> 0x39 | Blt -> 0x3A | Ble -> 0x3B
@@ -155,9 +167,8 @@ let decode w =
   | 0x1A ->
       Jump { kind = jmp_of_code ((w lsr 14) land 3); ra; rb; hint = w land 0x3FFF }
   | 0x10 | 0x11 | 0x12 | 0x13 -> (
-      let func = (w lsr 5) land 0x7F in
       let rc = w land 0x1F in
-      match opr_of_codes (opc, func) with
+      match opr_table.(((opc - 0x10) lsl 7) lor ((w lsr 5) land 0x7F)) with
       | None -> Raw w
       | Some op ->
           let rb_operand =
@@ -165,8 +176,7 @@ let decode w =
           in
           Opr { op; ra; rb = rb_operand; rc })
   | 0x16 | 0x17 -> (
-      let func = (w lsr 5) land 0x7FF in
-      match fop_of_codes (opc, func) with
+      match fop_table.(((opc - 0x16) lsl 11) lor ((w lsr 5) land 0x7FF)) with
       | None -> Raw w
       | Some op -> Fop { op; fa = ra; fb = rb; fc = w land 0x1F })
   | _ -> (

@@ -12,7 +12,17 @@ val encode : Insn.t -> int
 
 val decode : int -> Insn.t
 (** Decode a 32-bit word.  Words outside the implemented subset decode to
-    [Raw]. *)
+    [Raw].  Operate and floating-operate function codes are looked up in
+    direct-indexed tables built once from {!opr_codes} and {!fop_codes}:
+    one 128-entry row per integer-operate opcode (0x10–0x13) and one
+    2,048-entry row per floating-operate opcode (0x16–0x17), so a decode
+    allocates nothing but its result. *)
+
+val opr_codes : Insn.opr_op -> int * int
+(** The (major opcode, 7-bit function code) pair of an integer operate. *)
+
+val fop_codes : Insn.fop_op -> int * int
+(** The (major opcode, 11-bit function code) pair of a floating operate. *)
 
 val read_word : bytes -> int -> int
 (** [read_word b off] reads a little-endian 32-bit word. *)
@@ -30,8 +40,10 @@ val decode_cached : int -> Insn.t
     shares one [Insn.t] value, which keeps the IRs the toolchain cache
     holds small.  Semantically identical to {!decode} ([Insn.t] is
     immutable, so sharing is safe).  A lookup costs more than a plain
-    {!decode}, so a pass that reads each word once and keeps nothing
-    (the verifier) decodes directly. *)
+    {!decode}: over the words of 15 instrumented images, about 29 ns per
+    word against 6 ns (a 2-core x86-64 host), so a pass that reads each
+    word once and keeps nothing (the verifier, [Sim.prepare]) decodes
+    directly. *)
 
 val decode_at_cached : bytes -> int -> Insn.t
 (** [decode_cached] of {!read_word}. *)

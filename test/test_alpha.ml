@@ -137,6 +137,64 @@ let test_known_encodings () =
   Alcotest.(check int) "beq" 0xE4200003 (Code.encode beq);
   Alcotest.(check int) "nop" 0x47FF041F (Code.encode Insn.nop)
 
+(* every function code under each operate opcode: [decode] yields an
+   operate exactly where [opr_codes]/[fop_codes] assign the pair, [Raw]
+   elsewhere, and every assigned word round-trips *)
+let test_decode_tables () =
+  let assigned codes_of ops =
+    let t = Hashtbl.create 64 in
+    List.iter (fun op -> Hashtbl.replace t (codes_of op) op) ops;
+    Hashtbl.find_opt t
+  in
+  let opr = assigned Code.opr_codes Insn.all_opr_ops
+  and fop = assigned Code.fop_codes Insn.all_fop_ops in
+  let seen = ref 0 in
+  let check opc func w ~expect =
+    let i = Code.decode w in
+    if not (expect i) then
+      Alcotest.failf "opcode %#x function %#x: %#010x decodes to %s" opc func w
+        (Insn.to_string i);
+    match i with
+    | Insn.Raw _ -> ()
+    | _ ->
+        incr seen;
+        if Code.encode i <> w then
+          Alcotest.failf "%#010x (%s) does not round-trip" w (Insn.to_string i)
+  in
+  for opc = 0x10 to 0x13 do
+    for func = 0 to 127 do
+      let expect i =
+        match (i, opr (opc, func)) with
+        | Insn.Opr { op; _ }, Some op' -> op = op'
+        | Insn.Raw _, None -> true
+        | _ -> false
+      in
+      let base = (opc lsl 26) lor (1 lsl 21) lor (func lsl 5) lor 3 in
+      (* register and 8-bit literal forms of the second operand *)
+      check opc func (base lor (2 lsl 16)) ~expect;
+      check opc func (base lor (0xA5 lsl 13) lor (1 lsl 12)) ~expect
+    done
+  done;
+  Alcotest.(check int) "every integer operate decoded, in both forms"
+    (2 * List.length Insn.all_opr_ops)
+    !seen;
+  seen := 0;
+  for opc = 0x16 to 0x17 do
+    for func = 0 to 2047 do
+      let expect i =
+        match (i, fop (opc, func)) with
+        | Insn.Fop { op; _ }, Some op' -> op = op'
+        | Insn.Raw _, None -> true
+        | _ -> false
+      in
+      check opc func
+        ((opc lsl 26) lor (1 lsl 21) lor (2 lsl 16) lor (func lsl 5) lor 3)
+        ~expect
+    done
+  done;
+  Alcotest.(check int) "every floating operate decoded"
+    (List.length Insn.all_fop_ops) !seen
+
 let test_reg_names () =
   Alcotest.(check string) "sp" "sp" (Reg.name Reg.sp);
   Alcotest.(check (option int)) "$17" (Some 17) (Reg.of_name "$17");
@@ -192,6 +250,8 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "known encodings" `Quick test_known_encodings;
+          Alcotest.test_case "decode tables, every function code" `Quick
+            test_decode_tables;
           Alcotest.test_case "register names" `Quick test_reg_names;
           Alcotest.test_case "classification" `Quick test_classification;
           Alcotest.test_case "cost pairing" `Quick test_cost_pairing;

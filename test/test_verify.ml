@@ -358,6 +358,86 @@ let test_report_independent_of_cache () =
         { I.default_options with I.save_strategy = I.Summary_and_live } );
     ]
 
+(* -- retargeted analysis calls ----------------------------------------------
+
+   A stub whose [bsr] is pointed at another analysis procedure, or at
+   another procedure's wrapper, still calls into the analysis region, so
+   the branch-range check accepts it: only the callee check can tell. *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* the first [bsr] inside a stub: its address and target *)
+let first_stub_call exe' info =
+  let extents =
+    List.concat_map
+      (fun st -> st.Om.Codegen.st_before @ st.Om.Codegen.st_taken @ st.Om.Codegen.st_after)
+      info.I.i_audit.I.au_layout
+  in
+  let rec scan = function
+    | [] -> Alcotest.fail "no stub calls an analysis routine"
+    | (ext : Om.Codegen.extent) :: rest ->
+        let rec go k =
+          if k >= ext.Om.Codegen.e_size / 4 then scan rest
+          else
+            let a = ext.Om.Codegen.e_addr + (4 * k) in
+            match Code.decode (word_at exe' a) with
+            | Insn.Br { link = true; disp; _ } -> (a, a + 4 + (4 * disp))
+            | _ -> go (k + 1)
+        in
+        go 0
+  in
+  scan extents
+
+(* point the first stub call at the first of [candidates] it does not
+   already call, and return the verifier's stub-callee details *)
+let retarget_first_call (exe, exe', info) candidates =
+  let baddr, target = first_stub_call exe' info in
+  let other =
+    match List.find_opt (fun (_, a) -> a <> target) candidates with
+    | Some (_, a) -> a
+    | None -> Alcotest.fail "no other callee to point the call at"
+  in
+  let bad = copy_image exe' in
+  (match Code.decode (word_at bad baddr) with
+  | Insn.Br b ->
+      set_word bad baddr
+        (Code.encode (Insn.Br { b with disp = (other - (baddr + 4)) / 4 }))
+  | _ -> assert false);
+  let rep = Verify.check_image ~original:exe ~instrumented:bad ~info in
+  ( Printf.sprintf "calls %#x, expected" other,
+    List.filter_map
+      (fun i ->
+        if i.Verify.v_check = "stub-callee" then Some i.Verify.v_detail
+        else None)
+      rep.Verify.r_issues )
+
+let check_retargeted ~expected (wanted, details) =
+  if not (List.exists (fun d -> contains d wanted && contains d expected) details)
+  then
+    Alcotest.failf "no stub-callee finding \"%s ... %s\" (got: %s)" wanted
+      expected (String.concat "; " details)
+
+(* default options: every stub calls its procedure's wrapper *)
+let test_retargeted_wrapper_call () =
+  let ((_, _, info) as cell) = Lazy.force instrumented in
+  check_retargeted ~expected:"expected the wrapper at"
+    (retarget_first_call cell info.I.i_audit.I.au_wrappers)
+
+(* [Specialized]: a stub that is not spliced calls the procedure itself *)
+let test_retargeted_proc_call () =
+  let ((_, _, info) as cell) = Lazy.force specialized in
+  let procs =
+    List.filter
+      (fun (name, _) -> List.mem name [ "CondBranch"; "FlushStats"; "__libc_init" ])
+      info.I.i_audit.I.au_procs
+  in
+  check_retargeted ~expected:"expected " (retarget_first_call cell procs)
+
 (* -- load_const ----------------------------------------------------------- *)
 
 (* interpret the emitted sequence: lda/ldah/sll over a register file *)
@@ -575,6 +655,10 @@ let () =
             test_corrupt_overlap;
           Alcotest.test_case "diagnostics distinct" `Quick
             test_distinct_diagnostics;
+          Alcotest.test_case "retargeted analysis call caught" `Quick
+            test_retargeted_proc_call;
+          Alcotest.test_case "retargeted analysis call caught, wrappers"
+            `Quick test_retargeted_wrapper_call;
         ] );
       ( "cached liveness",
         [
