@@ -15,9 +15,10 @@
     addresses untouched, analysis module in the text–data gap) and the
     image passes {!Objfile.Exe.validate}, as the loader requires; and every
     stub opens a frame, saves what the active save strategy requires,
-    calls the procedure the audit names, restores exactly what it saved,
-    and closes the frame — cross-checked against {!Om.Liveness} of the
-    original executable when the live-register optimization is active;
+    calls the procedure the audit names, restores exactly what it saved
+    in the order it saved it, and closes the frame — cross-checked
+    against {!Om.Liveness} of the original executable when the
+    live-register optimization is active;
 
     {b differentially} ({!differential}) — the original and instrumented
     executables run on {!Machine.Sim} and must agree on outcome, stdout,

@@ -216,32 +216,34 @@ let run exe =
   | Machine.Sim.Fault f -> Alcotest.failf "fault %s" (Machine.Fault.to_string f)
   | Machine.Sim.Out_of_fuel -> Alcotest.fail "fuel"
 
+let nop_stub = Om.Ir.stub_of_insns [ Alpha.Insn.nop ]
+
+(* [exe] with its text regenerated from [prog] *)
+let regenerate exe prog =
+  let r = Om.Codegen.generate prog in
+  {
+    exe with
+    Objfile.Exe.x_entry = r.Om.Codegen.r_map exe.Objfile.Exe.x_entry;
+    x_segs =
+      List.map
+        (fun seg ->
+          if seg.Objfile.Exe.seg_vaddr = exe.Objfile.Exe.x_text_start then
+            { seg with Objfile.Exe.seg_bytes = r.Om.Codegen.r_text }
+          else seg)
+        exe.Objfile.Exe.x_segs;
+    x_text_size = Bytes.length r.Om.Codegen.r_text;
+  }
+
 let test_nop_padding () =
   (* inserting a nop before and after every instruction must leave the
      program's behaviour intact while tripling instruction counts *)
   let exe = Lazy.force sample_exe in
   let base = run exe in
   let prog = program () in
-  let nop_stub = Om.Ir.stub_of_insns [ Alpha.Insn.nop ] in
   Om.Ir.iter_insts prog (fun _ _ i ->
       Om.Ir.add_before i nop_stub;
       if Alpha.Insn.falls_through i.Om.Ir.i_insn then Om.Ir.add_after i nop_stub);
-  let r = Om.Codegen.generate prog in
-  let exe' =
-    {
-      exe with
-      Objfile.Exe.x_entry = r.Om.Codegen.r_map exe.Objfile.Exe.x_entry;
-      x_segs =
-        List.map
-          (fun seg ->
-            if seg.Objfile.Exe.seg_vaddr = exe.Objfile.Exe.x_text_start then
-              { seg with Objfile.Exe.seg_bytes = r.Om.Codegen.r_text }
-            else seg)
-          exe.Objfile.Exe.x_segs;
-      x_text_size = Bytes.length r.Om.Codegen.r_text;
-    }
-  in
-  let m = run exe' in
+  let m = run (regenerate exe prog) in
   Alcotest.(check string) "output identical" (Machine.Sim.stdout base)
     (Machine.Sim.stdout m);
   let i0 = (Machine.Sim.stats base).Machine.Sim.st_insns in
@@ -250,6 +252,40 @@ let test_nop_padding () =
     (Printf.sprintf "instruction count grows (%d -> %d)" i0 i1)
     true
     (i1 > 2 * i0 && i1 <= 3 * i0 + 10)
+
+(* [lda $1, mid] materialises a text address with an ldah/lda pair,
+   which the linker records as hi/lo code refs.  A nop before every
+   instruction, or only before the jump, moves [mid]; unless codegen
+   rewrites both halves, the jump lands at mid's old address and the
+   program does not exit 0. *)
+let test_text_address_retargeted () =
+  let exe =
+    Linker.Link.link
+      [
+        Linker.Link.Unit
+          (Asmlib.Assemble.assemble ~name:"om_text_address.s"
+             {|
+        .text
+        .globl __start
+__start:
+        lda $1, mid
+        jmp $31, ($1)
+        ldiq $16, 1
+        ldiq $0, 1
+        call_pal 0x83
+mid:    clr $16
+        ldiq $0, 1
+        call_pal 0x83
+|});
+      ]
+  in
+  List.iter
+    (fun pad ->
+      let prog = Om.Build.program exe in
+      Om.Ir.iter_insts prog (fun _ _ i ->
+          if pad i.Om.Ir.i_insn then Om.Ir.add_before i nop_stub);
+      ignore (run (regenerate exe prog)))
+    [ (fun _ -> true); (function Alpha.Insn.Jump _ -> true | _ -> false) ]
 
 let test_sizeof_matches_generate () =
   let prog = program () in
@@ -428,6 +464,8 @@ let () =
         [
           Alcotest.test_case "identity without stubs" `Quick test_codegen_identity;
           Alcotest.test_case "nop padding preserves behaviour" `Quick test_nop_padding;
+          Alcotest.test_case "text address retargeted" `Quick
+            test_text_address_retargeted;
           Alcotest.test_case "sizeof matches generate" `Quick test_sizeof_matches_generate;
         ] );
     ]
