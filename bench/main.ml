@@ -601,50 +601,6 @@ let verify_sweep ?(quick = false) () =
   end
   end
 
-(* -- bechamel micro-benchmarks ------------------------------------------- *)
-
-let bechamel ?(cold = false) () =
-  let open Bechamel in
-  let compress = Option.get (Workloads.find "compress") in
-  let exe, _ = base_of compress in
-  let instrument_test tool_name =
-    let tool = Option.get (Tools.Registry.find tool_name) in
-    (* With [--cold] the caches are emptied inside the measured thunk, so
-       every sample pays the cold-start instrumentation cost. *)
-    Test.make ~name:(Printf.sprintf "fig5/instrument-%s" tool_name)
-      (Staged.stage (fun () ->
-           if cold then clear_toolchain_caches ();
-           ignore (Tools.Tool.apply tool exe)))
-  in
-  let run_test tool_name =
-    let tool = Option.get (Tools.Registry.find tool_name) in
-    let exe', _ = Tools.Tool.apply tool exe in
-    Test.make ~name:(Printf.sprintf "fig6/run-%s" tool_name)
-      (Staged.stage (fun () -> ignore (run_instrumented exe' tool_name)))
-  in
-  let tests =
-    Test.make_grouped ~name:"atom"
-      [ instrument_test "malloc"; instrument_test "branch";
-        instrument_test "pipe"; run_test "inline" ]
-  in
-  let cfg = Benchmark.cfg ~limit:6 ~quota:(Time.second 2.0) () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  print_endline "";
-  print_endline "Bechamel micro-benchmarks (ns per call, OLS on monotonic clock):";
-  (* sorted: hash-table order is not deterministic run to run *)
-  Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (name, result) ->
-         match Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "  %-28s %12.0f ns\n" name est
-         | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-
 (* -- engine performance sweep --------------------------------------------- *)
 
 (* Every workload, uninstrumented and instrumented with each tool, run
@@ -1692,7 +1648,7 @@ let wcet_bench ?(smoke = false) () =
   end
 
 let usage =
-  "usage: main.exe [fig5 [--smoke]|fig6|ablations|verify|bechamel [--cold]|\
+  "usage: main.exe [fig5 [--smoke]|fig6|ablations|verify|\
    quick|perf [--smoke] [--min-speedup X]|faults [--smoke]|serve [--smoke]|\
    wcet [--smoke]|\
    soak [--smoke] [--seed N] [--count N] [--size N] [--atomd] [--dump]|all]"
@@ -1708,7 +1664,6 @@ let usage_error () =
 let verb_flags = function
   | "fig5" | "faults" | "serve" | "wcet" -> ([ "--smoke" ], [])
   | "perf" -> ([ "--smoke" ], [ "--min-speedup" ])
-  | "bechamel" -> ([ "--cold" ], [])
   | "soak" ->
       ([ "--smoke"; "--atomd"; "--dump" ], [ "--seed"; "--count"; "--size" ])
   | _ -> ([], [])
@@ -1747,7 +1702,6 @@ let () =
   | "ablate-saves" -> ablate_saves ()
   | "ablate-heap" -> ablate_heap ()
   | "ablate-liveness" -> ablate_liveness ()
-  | "bechamel" -> bechamel ~cold:(switch "--cold") ()
   | "perf" ->
       perf ~smoke
         ?min_speedup:
@@ -1775,6 +1729,5 @@ let () =
       ablate_wrapper ();
       ablate_saves ();
       ablate_liveness ();
-      ablate_heap ();
-      bechamel ()
+      ablate_heap ()
   | _ -> usage_error ()

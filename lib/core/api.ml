@@ -17,7 +17,7 @@ type arg =
   | Str of string
 
 type program_place = Program_before | Program_after
-type place = Before | After | Taken_edge
+type place = Om.Codegen.place = Before | After | Taken_edge
 
 type action = {
   a_proc : string;

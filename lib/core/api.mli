@@ -91,7 +91,7 @@ type arg =
 
 type program_place = Program_before | Program_after
 
-type place =
+type place = Om.Codegen.place =
   | Before
   | After
   | Taken_edge

@@ -187,9 +187,10 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
    with
   | Some s -> fail "input is already instrumented (it defines %s)" s.Exe.x_name
   | None -> ());
-  (* 1. the user's instrumentation routine annotates the program view;
-     the built IR is tool-independent, so it is served from the
-     content-addressed cache across a tool sweep *)
+  (* 1. the user's instrumentation routine walks the program view and
+     asks for calls; the built IR is tool-independent and holds no
+     stubs, so the cached one is shared across a tool sweep and by
+     concurrent requests *)
   let prog = Toolcache.program exe in
   let api = Api.create prog in
   tool api;
@@ -322,7 +323,7 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
         | Some n -> Stubgen.Splice (n, fun () -> Hashtbl.find inline_bodies name)
         | None -> Stubgen.Call (fun () -> Hashtbl.find proc_addrs name))
   in
-  (* 6. lower actions onto the IR as stubs *)
+  (* 6. lower actions to this request's stub table *)
   let resolve_arg (a : Api.action) arg =
     match arg with
     | Api.Int v -> Stubgen.R_const v
@@ -336,55 +337,54 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
         ignore a;
         Stubgen.R_addr (intern s)
   in
-  let n_sites = ref 0 in
-  let audit_sites = ref [] in
-  List.iter
-    (fun (a : Api.action) ->
-      let ir_inst = Api.ir_inst a.Api.a_inst in
-      audit_sites :=
+  let audit_sites =
+    List.map
+      (fun (a : Api.action) ->
         {
-          as_pc = ir_inst.Om.Ir.i_pc;
+          as_pc = Api.inst_pc a.Api.a_inst;
           as_place = a.Api.a_place;
           as_proc = a.Api.a_proc;
           as_summary = summary_of a.Api.a_proc;
           as_nargs = List.length a.Api.a_args;
-        }
-        :: !audit_sites;
-      let extra_saves =
-        match options.call_style with
-        | Wrapper -> Alpha.Regset.empty
-        | Inline_saves | Inline_body | Specialized ->
-            Alpha.Regset.diff (summary_of a.Api.a_proc)
-              (Alpha.Regset.of_list
-                 (Alpha.Reg.ra
-                 :: List.init (List.length a.Api.a_args) (fun i -> 16 + i)))
-      in
-      let live =
-        Option.map
-          (fun tbl ->
-            match a.Api.a_place with
-            | Api.Before | Api.Taken_edge ->
-                (* for a taken edge, live-before the branch is a superset
-                   of liveness at the taken target *)
-                Om.Liveness.live_before tbl ir_inst.Om.Ir.i_pc
-            | Api.After -> Om.Liveness.live_after prog tbl ir_inst.Om.Ir.i_pc)
-          live_table
-      in
-      let stub =
-        Stubgen.site_stub ~site_insn:ir_inst.Om.Ir.i_insn
-          ~args:(List.map (resolve_arg a) a.Api.a_args)
-          ~extra_saves ?live
-          ~callee:(callee_of a.Api.a_proc) ()
-      in
-      incr n_sites;
-      match a.Api.a_place with
-      | Api.Before -> Om.Ir.add_before ir_inst stub
-      | Api.After -> Om.Ir.add_after ir_inst stub
-      | Api.Taken_edge -> Om.Ir.add_taken ir_inst stub)
-    actions;
+        })
+      actions
+  in
+  let stubs =
+    Om.Codegen.table
+      (List.map
+         (fun (a : Api.action) ->
+           let ir_inst = Api.ir_inst a.Api.a_inst in
+           let extra_saves =
+             match options.call_style with
+             | Wrapper -> Alpha.Regset.empty
+             | Inline_saves | Inline_body | Specialized ->
+                 Alpha.Regset.diff (summary_of a.Api.a_proc)
+                   (Alpha.Regset.of_list
+                      (Alpha.Reg.ra
+                      :: List.init (List.length a.Api.a_args) (fun i -> 16 + i)))
+           in
+           let live =
+             Option.map
+               (fun tbl ->
+                 match a.Api.a_place with
+                 | Api.Before | Api.Taken_edge ->
+                     (* for a taken edge, live-before the branch is a superset
+                        of liveness at the taken target *)
+                     Om.Liveness.live_before tbl ir_inst.Om.Ir.i_pc
+                 | Api.After -> Om.Liveness.live_after prog tbl ir_inst.Om.Ir.i_pc)
+               live_table
+           in
+           ( ir_inst.Om.Ir.i_pc,
+             a.Api.a_place,
+             Stubgen.site_stub ~site_insn:ir_inst.Om.Ir.i_insn
+               ~args:(List.map (resolve_arg a) a.Api.a_args)
+               ~extra_saves ?live
+               ~callee:(callee_of a.Api.a_proc) () ))
+         actions)
+  in
   (* 7. placement *)
   let text_base = exe.Exe.x_text_start in
-  let new_text_size = Om.Codegen.sizeof prog in
+  let new_text_size = Om.Codegen.sizeof ~stubs prog in
   let a_text = align16 (text_base + new_text_size) in
   let a_rdata = align16 (a_text + pl.Linker.Link.pl_sizes.(0)) in
   let a_data = align16 (a_rdata + pl.Linker.Link.pl_sizes.(1)) in
@@ -420,12 +420,8 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
     | Partitioned offset -> (
         match List.assoc_opt "__curbrk" img.Linker.Link.i_globals with
         | Some s ->
-            let off = s.Exe.x_addr - a_text in
-            let v = Int64.of_int (exe.Exe.x_break + offset) in
-            for k = 0 to 7 do
-              Bytes.set blob (off + k)
-                (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF))
-            done
+            Bytes.set_int64_le blob (s.Exe.x_addr - a_text)
+              (Int64.of_int (exe.Exe.x_break + offset))
         | None -> fail "partitioned heap mode: analysis module has no __curbrk"));
     { Toolcache.ln_img = img; ln_blob = blob }
   in
@@ -477,11 +473,8 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
           in
           List.iter
             (fun i ->
-              let w = Alpha.Code.encode i in
-              Buffer.add_char wrapper_code (Char.chr (w land 0xFF));
-              Buffer.add_char wrapper_code (Char.chr ((w lsr 8) land 0xFF));
-              Buffer.add_char wrapper_code (Char.chr ((w lsr 16) land 0xFF));
-              Buffer.add_char wrapper_code (Char.chr ((w lsr 24) land 0xFF)))
+              Buffer.add_int32_le wrapper_code
+                (Int32.of_int (Alpha.Code.encode i)))
             insns)
         called);
   strings_base := align16 (wrappers_at + Buffer.length wrapper_code);
@@ -492,7 +485,7 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
        application too large"
       gap_end Linker.Link.rdata_base;
   (* 9. regenerate the application text *)
-  let result = Om.Codegen.generate prog in
+  let result = Om.Codegen.generate ~stubs prog in
   (* patch data-resident code references (e.g. taken function addresses) *)
   let segs =
     List.map
@@ -511,13 +504,7 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
             (fun (cr, new_target) ->
               let off = cr.Exe.cr_addr - seg.Exe.seg_vaddr in
               match cr.Exe.cr_kind with
-              | Exe.Cr_quad ->
-                  let v = Int64.of_int new_target in
-                  for k = 0 to 7 do
-                    Bytes.set b (off + k)
-                      (Char.chr
-                         (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF))
-                  done
+              | Exe.Cr_quad -> Bytes.set_int64_le b off (Int64.of_int new_target)
               | Exe.Cr_long -> Alpha.Code.write_word b off (new_target land 0xFFFFFFFF)
               | Exe.Cr_hi | Exe.Cr_lo ->
                   failwith "Instrument: hi/lo code ref escaped into data")
@@ -584,7 +571,7 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
   let audit =
     {
       au_options = options;
-      au_sites = List.rev !audit_sites;
+      au_sites = audit_sites;
       au_layout = result.Om.Codegen.r_sites;
       au_prog_text = (text_base, new_text_size);
       au_anal_text = (a_text, Bytes.length img.Linker.Link.i_text);
@@ -595,7 +582,7 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
   in
   let info =
     {
-      i_sites = !n_sites;
+      i_sites = List.length actions;
       i_calls = List.length called;
       i_text_growth = new_text_size - exe.Exe.x_text_size;
       i_analysis_bytes = gap_end - a_text;

@@ -81,6 +81,39 @@ let arg_sources ~site_insn args =
       | R_const _ | R_addr _ -> acc)
     Regset.empty args
 
+(* A register-save frame: integer registers in the first slots, then
+   floating-point ones, then an optional 8-byte scratch slot.  Both site
+   stubs and wrappers save through [frame_saves] and restore through
+   [frame_restores], so every frame restores its registers in the order
+   it saved them, the shape the verifier's frame parser reads. *)
+type frame = {
+  f_ints : (Reg.t * int) list;  (* register, slot offset *)
+  f_fps : (Reg.t * int) list;
+  f_scratch : int;  (* offset of the scratch slot, or -1 *)
+  f_size : int;
+}
+
+let frame ~scratch ints fps =
+  let nint = List.length ints and nfp = List.length fps in
+  {
+    f_ints = List.mapi (fun k r -> (r, 8 * k)) ints;
+    f_fps = List.mapi (fun k r -> (r, 8 * (nint + k))) fps;
+    f_scratch = (if scratch then 8 * (nint + nfp) else -1);
+    f_size = 8 * (nint + nfp + if scratch then 1 else 0);
+  }
+
+let slot op (r, off) = Insn.Mem { op; ra = r; rb = Reg.sp; disp = off }
+
+let frame_saves f =
+  Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = -f.f_size }
+  :: List.map (slot Insn.Stq) f.f_ints
+  @ List.map (slot Insn.Stt) f.f_fps
+
+let frame_restores f =
+  List.map (slot Insn.Ldq) f.f_ints
+  @ List.map (slot Insn.Ldt) f.f_fps
+  @ [ Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = f.f_size } ]
+
 let build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra =
   let nargs = List.length args in
   (* An argument-source register only needs a slot when an earlier
@@ -122,14 +155,7 @@ let build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra =
   let fp_extra = List.filter keep_f (Regset.fps extra_saves) in
   let fp_scratch = needs_fp_scratch site_insn args in
   let fp_regs = if fp_scratch && not (List.mem 1 fp_extra) then 1 :: fp_extra else fp_extra in
-  let nint = List.length int_regs in
-  let nfp = List.length fp_regs in
-  let scratch_needed = fp_scratch in
-  let size = 8 * (nint + nfp + if scratch_needed then 1 else 0) in
-  let int_slots = List.mapi (fun k r -> (r, 8 * k)) int_regs in
-  let fp_slots = List.mapi (fun k r -> (r, 8 * (nint + k))) fp_regs in
-  let scratch = if scratch_needed then 8 * (nint + nfp) else -1 in
-  (int_slots, fp_slots, scratch, size)
+  frame ~scratch:fp_scratch int_regs fp_regs
 
 let slot_of slots r = List.assoc_opt r slots
 
@@ -230,40 +256,25 @@ type callee = Call of target | Splice of int * (unit -> Insn.t list)
 
 let site_stub ~site_insn ~args ~extra_saves ?live ~callee () =
   let needs_ra = match callee with Call _ -> true | Splice _ -> false in
-  let int_slots, fp_slots, scratch, size =
-    build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra
-  in
+  let f = build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra in
   let make_prefix ~final =
-    (Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = -size }
-    :: List.map
-         (fun (r, off) -> Insn.Mem { op = Insn.Stq; ra = r; rb = Reg.sp; disp = off })
-         int_slots)
-    @ List.map
-        (fun (r, off) -> Insn.Mem { op = Insn.Stt; ra = r; rb = Reg.sp; disp = off })
-        fp_slots
+    frame_saves f
     @ List.concat
         (List.mapi
            (fun i arg ->
-             arg_insns ~final ~site_insn ~int_slots ~scratch ~frame_size:size i arg)
+             arg_insns ~final ~site_insn ~int_slots:f.f_ints ~scratch:f.f_scratch
+               ~frame_size:f.f_size i arg)
            args)
   in
   let prefix = make_prefix ~final:false in
   (* built at emission rather than kept from here: a list that lives
      until codegen is promoted out of the minor heap *)
-  let suffix () =
-    List.map
-      (fun (r, off) -> Insn.Mem { op = Insn.Ldq; ra = r; rb = Reg.sp; disp = off })
-      int_slots
-    @ List.map
-        (fun (r, off) -> Insn.Mem { op = Insn.Ldt; ra = r; rb = Reg.sp; disp = off })
-        fp_slots
-    @ [ Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = size } ]
-  in
+  let suffix () = frame_restores f in
   let npre = List.length prefix in
   let mid_len = match callee with Call _ -> 1 | Splice (n, _) -> n in
   let total = npre + mid_len + List.length (suffix ()) in
   {
-    Om.Ir.s_size = 4 * total;
+    Om.Codegen.s_size = 4 * total;
     s_emit =
       (fun ~pc ->
         let prefix = make_prefix ~final:true in
@@ -289,32 +300,12 @@ let site_stub ~site_insn ~args ~extra_saves ?live ~callee () =
 let wrapper ~at ~summary ~nargs ~proc_addr =
   let site_saved = Regset.of_list (Reg.ra :: List.init nargs (fun i -> 16 + i)) in
   let to_save = Regset.diff summary site_saved in
-  let int_regs = Reg.ra :: Regset.ints to_save in
-  let fp_regs = Regset.fps to_save in
-  let nint = List.length int_regs in
-  let size = 8 * (nint + List.length fp_regs) in
-  let int_slots = List.mapi (fun k r -> (r, 8 * k)) int_regs in
-  let fp_slots = List.mapi (fun k r -> (r, 8 * (nint + k))) fp_regs in
-  let saves =
-    Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = -size }
-    :: List.map
-         (fun (r, off) -> Insn.Mem { op = Insn.Stq; ra = r; rb = Reg.sp; disp = off })
-         int_slots
-    @ List.map
-        (fun (r, off) -> Insn.Mem { op = Insn.Stt; ra = r; rb = Reg.sp; disp = off })
-        fp_slots
-  in
+  let f = frame ~scratch:false (Reg.ra :: Regset.ints to_save) (Regset.fps to_save) in
+  let saves = frame_saves f in
   let call_pc = at + (4 * List.length saves) in
   let disp = (proc_addr - (call_pc + 4)) / 4 in
   if not (Code.fits_disp21 disp) then failwith "Stubgen: wrapper call out of range";
-  let restores =
-    List.map
-      (fun (r, off) -> Insn.Mem { op = Insn.Ldq; ra = r; rb = Reg.sp; disp = off })
-      int_slots
-    @ List.map
-        (fun (r, off) -> Insn.Mem { op = Insn.Ldt; ra = r; rb = Reg.sp; disp = off })
-        fp_slots
-    @ [ Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = size };
-        Insn.Jump { kind = Insn.Ret; ra = Reg.zero; rb = Reg.ra; hint = 1 } ]
-  in
-  saves @ (Insn.Br { link = true; ra = Reg.ra; disp } :: restores)
+  saves
+  @ (Insn.Br { link = true; ra = Reg.ra; disp }
+    :: frame_restores f
+    @ [ Insn.Jump { kind = Insn.Ret; ra = Reg.zero; rb = Reg.ra; hint = 1 } ])

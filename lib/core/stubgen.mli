@@ -44,7 +44,7 @@ val site_stub :
   ?live:Alpha.Regset.t ->
   callee:callee ->
   unit ->
-  Om.Ir.stub
+  Om.Codegen.stub
 (** [extra_saves] adds registers to the site's save set (the inline-save
     call style passes the whole summary here; the wrapper style passes the
     empty set).  [live], when given, drops saves of registers that are

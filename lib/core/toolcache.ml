@@ -75,7 +75,7 @@ let size () =
    never depends on the store: cold and warm paths produce byte-identical
    images (enforced by the tests and by `bench serve`). *)
 
-let store_magic = "ATOMTC/1"
+let store_magic = "ATOMTC/2"
 let store_dir : string option ref = ref None
 let store_seq = ref 0
 
@@ -276,18 +276,9 @@ let find_or_add_linked key build = lookup links ~kind:"link" key build
    restarted daemon serves repeat instrumentations straight from disk. *)
 let find_or_add_image key build = lookup images ~kind:"image" key build
 
-let program_master exe =
+let program exe =
   lookup programs ~kind:"prog" (exe_digest exe) (fun () -> Om.Build.program exe)
 
-(* The cached master is never handed out: instrumentation mutates the
-   per-instruction stub lists in place, so every caller gets a fresh view
-   with empty slots.  Two concurrent jobs for the same executable
-   therefore cannot observe each other's stubs, and the master stays
-   pristine (and closure-free, hence marshallable to the store). *)
-let program exe = Om.Ir.copy (program_master exe)
-
-(* Liveness reads only the master's immutable payload (instructions,
-   successor lists, the executable), never its stub slots. *)
 let liveness exe =
   lookup lives ~kind:"live" (exe_digest exe) (fun () ->
-      Om.Liveness.compute (program_master exe))
+      Om.Liveness.compute (program exe))

@@ -20,10 +20,10 @@
     miss publishes its key as in-flight and builds outside the lock;
     concurrent requests for the same key wait for the build instead of
     duplicating it, so N simultaneous first requests for one key are
-    exactly one miss and N−1 hits.  Cached values are immutable — the
-    application IR, whose stub lists instrumentation mutates in place, is
-    never handed out directly: {!program} returns a fresh {!Om.Ir.copy}
-    per call.
+    exactly one miss and N−1 hits.  Every cached value is immutable, so
+    a hit hands out the cached value itself: callers on any number of
+    domains share one application IR ({!program}), which holds no
+    stubs (each request's stubs live in its own {!Om.Codegen.table}).
 
     {b Persistence.}  {!set_store} points the cache at a directory; every
     entry built thereafter is written through (temp file + atomic rename)
@@ -59,15 +59,13 @@ val find_or_add : string -> (unit -> prepared) -> prepared
 val program : Objfile.Exe.t -> Om.Ir.program
 (** The application's built IR ({!Om.Build.program}), which is
     tool-independent: keyed by the executable's digest ({!exe_digest}),
-    one build serves every tool in a sweep.  Returns a fresh per-request
-    {!Om.Ir.copy} of the cached master on every call (hit or miss): the
-    master's stub lists stay empty forever, and concurrent
-    instrumentation jobs for the same executable cannot observe each
-    other's stubs. *)
+    one build serves every tool in a sweep.  A hit returns the cached
+    IR itself, shared by every instrumentation of the executable and by
+    the verifier. *)
 
 val liveness : Objfile.Exe.t -> (int, Alpha.Regset.t) Hashtbl.t
 (** {!Om.Liveness.compute} over the executable's IR (the {!program}
-    entry's master), keyed by the executable's digest.  It is a function
+    entry), keyed by the executable's digest.  It is a function
     of the original executable alone, so one table per application
     serves every live-filtered instrumentation in a sweep and the
     verifier's check of each resulting image.  The table is shared:

@@ -10,6 +10,47 @@ let error ~proc ~pc fmt =
 let error_message { e_proc; e_pc; e_what } =
   Printf.sprintf "procedure %s, pc %#x: %s" e_proc e_pc e_what
 
+type stub = {
+  s_size : int;
+  s_emit : pc:int -> Alpha.Insn.t list;
+}
+
+let stub_of_insns insns =
+  { s_size = 4 * List.length insns; s_emit = (fun ~pc:_ -> insns) }
+
+type place = Before | After | Taken_edge
+
+type entry = {
+  t_pc : int;
+  t_before : stub list;
+  t_taken : stub list;
+  t_after : stub list;
+}
+
+(* ascending by pc, one entry per pc *)
+type table = entry array
+
+let no_stubs pc = { t_pc = pc; t_before = []; t_taken = []; t_after = [] }
+
+let table requests =
+  let sorted =
+    List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) requests
+  in
+  (* from the right, so each place keeps its stubs in request order *)
+  let add (pc, place, s) entries =
+    let e, rest =
+      match entries with
+      | e :: rest when e.t_pc = pc -> (e, rest)
+      | _ -> (no_stubs pc, entries)
+    in
+    (match place with
+    | Before -> { e with t_before = s :: e.t_before }
+    | Taken_edge -> { e with t_taken = s :: e.t_taken }
+    | After -> { e with t_after = s :: e.t_after })
+    :: rest
+  in
+  Array.of_list (List.fold_right add sorted [])
+
 type extent = { e_addr : int; e_size : int }
 
 type site = {
@@ -28,24 +69,42 @@ type result = {
   r_sites : site list;
 }
 
-let stub_bytes stubs = List.fold_left (fun acc s -> acc + s.Ir.s_size) 0 stubs
+let stub_bytes stubs = List.fold_left (fun acc s -> acc + s.s_size) 0 stubs
 
-let inst_bytes i =
+(* bytes an entry adds beside its instruction's own word *)
+let entry_bytes e =
   let tramp =
     (* taken-edge trampoline: the stubs plus a branch to the original
        target (the branch itself reuses the instruction's own slot) *)
-    if i.Ir.i_taken = [] then 0 else stub_bytes i.Ir.i_taken + 4
+    if e.t_taken = [] then 0 else stub_bytes e.t_taken + 4
   in
-  stub_bytes i.Ir.i_before + 4 + tramp + stub_bytes i.Ir.i_after
+  stub_bytes e.t_before + tramp + stub_bytes e.t_after
 
-let sizeof prog =
-  let total = ref 0 in
-  Ir.iter_insts prog (fun _ _ i -> total := !total + inst_bytes i);
-  !total
+let sizeof ?(stubs = [||]) prog =
+  Array.fold_left
+    (fun acc e -> acc + entry_bytes e)
+    prog.Ir.exe.Objfile.Exe.x_text_size stubs
 
 let sext16 v = if v land 0x8000 <> 0 then (v land 0xFFFF) - 0x10000 else v land 0xFFFF
 
-let generate prog =
+(* [fn p i e] for every instruction in address order, with [e] the
+   instruction's table entry if it has one: the table's pcs are walked
+   beside the instructions, so finding an instruction's stubs costs one
+   comparison and no lookup *)
+let iter_beside prog (stubs : table) fn =
+  let next = ref 0 in
+  Ir.iter_insts prog (fun p _ i ->
+      if !next < Array.length stubs && stubs.(!next).t_pc = i.Ir.i_pc then begin
+        incr next;
+        fn p i (Some stubs.(!next - 1))
+      end
+      else fn p i None);
+  if !next < Array.length stubs then
+    failwith
+      (Printf.sprintf "Codegen: stub table pc %#x is not an instruction"
+         stubs.(!next).t_pc)
+
+let generate ?(stubs = [||]) prog =
   let exe = prog.Ir.exe in
   let base = exe.Objfile.Exe.x_text_start in
   let old_size = exe.Objfile.Exe.x_text_size in
@@ -53,9 +112,10 @@ let generate prog =
   let nwords = old_size / 4 in
   let map_arr = Array.make (nwords + 1) 0 in
   let cursor = ref base in
-  Ir.iter_insts prog (fun _ _ i ->
+  iter_beside prog stubs (fun _ i e ->
       map_arr.((i.Ir.i_pc - base) / 4) <- !cursor;
-      cursor := !cursor + inst_bytes i);
+      cursor :=
+        !cursor + 4 + match e with Some e -> entry_bytes e | None -> 0);
   map_arr.(nwords) <- !cursor;
   (* every instruction occupies at least its own word, so the array-backed
      map must be strictly increasing (hence injective); check once here so
@@ -108,18 +168,18 @@ let generate prog =
     pos := !pos + 4
   in
   let sites = ref [] in
-  let relocate p i =
+  let relocate p i ~before ~taken ~after =
     let err fmt = error ~proc:p.Ir.p_name ~pc:i.Ir.i_pc fmt in
     let emit_stub s =
       let pc = base + !pos in
-      let insns = s.Ir.s_emit ~pc in
-      if 4 * List.length insns <> s.Ir.s_size then
+      let insns = s.s_emit ~pc in
+      if 4 * List.length insns <> s.s_size then
         err "stub at %#x emitted %d bytes, declared %d" pc
-          (4 * List.length insns) s.Ir.s_size;
+          (4 * List.length insns) s.s_size;
       List.iter emit_insn insns;
-      { e_addr = pc; e_size = s.Ir.s_size }
+      { e_addr = pc; e_size = s.s_size }
     in
-    let before_extents = List.map emit_stub i.Ir.i_before in
+    let before_extents = List.map emit_stub before in
     let here = base + !pos in
     let insn = i.Ir.i_insn in
     let insn =
@@ -154,20 +214,20 @@ let generate prog =
                   err "internal: quad/long code ref in the hi/lo table"))
     in
     let taken_extents =
-      if i.Ir.i_taken = [] then begin
+      if taken = [] then begin
         emit_insn insn;
         []
       end
       else begin
         (* taken-edge lowering: invert the branch over the trampoline *)
-        let skip_words = (stub_bytes i.Ir.i_taken + 4) / 4 in
+        let skip_words = (stub_bytes taken + 4) / 4 in
         let inverted =
           match Insn.invert_branch insn with
           | Some b -> Insn.with_branch_disp b skip_words
           | None -> err "taken-edge stubs on a non-conditional branch"
         in
         emit_insn inverted;
-        let extents = List.map emit_stub i.Ir.i_taken in
+        let extents = List.map emit_stub taken in
         (* jump to the (moved) original target *)
         let old_target =
           match Insn.branch_target ~pc:i.Ir.i_pc i.Ir.i_insn with
@@ -187,9 +247,9 @@ let generate prog =
         extents
       end
     in
-    if i.Ir.i_after <> [] && not (Insn.falls_through i.Ir.i_insn) then
+    if after <> [] && not (Insn.falls_through i.Ir.i_insn) then
       err "after-stub on an instruction that does not fall through";
-    let after_extents = List.map emit_stub i.Ir.i_after in
+    let after_extents = List.map emit_stub after in
     if before_extents <> [] || taken_extents <> [] || after_extents <> [] then
       sites :=
         {
@@ -202,15 +262,17 @@ let generate prog =
         }
         :: !sites
   in
-  Ir.iter_insts prog (fun p _ i ->
-      (* most instructions have no stub, no PC-relative target and no
-         hi/lo field to rewrite: they are copied as they are *)
-      if
-        i.Ir.i_before = [] && i.Ir.i_taken = [] && i.Ir.i_after = []
-        && Option.is_none (Insn.branch_disp i.Ir.i_insn)
-        && Option.is_none (hilo_at i.Ir.i_pc)
-      then emit_insn i.Ir.i_insn
-      else relocate p i);
+  iter_beside prog stubs (fun p i e ->
+      match e with
+      | Some e -> relocate p i ~before:e.t_before ~taken:e.t_taken ~after:e.t_after
+      | None ->
+          (* most instructions have no stub, no PC-relative target and no
+             hi/lo field to rewrite: they are copied as they are *)
+          if
+            Option.is_none (Insn.branch_disp i.Ir.i_insn)
+            && Option.is_none (hilo_at i.Ir.i_pc)
+          then emit_insn i.Ir.i_insn
+          else relocate p i ~before:[] ~taken:[] ~after:[]);
   if !pos <> new_size then failwith "Codegen: layout/emission size mismatch";
   {
     r_text = out;

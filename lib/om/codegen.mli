@@ -1,7 +1,11 @@
-(** Code generation: lay the annotated IR back out as machine code.
+(** Code generation: lay the IR back out as machine code, with the
+    stubs a request asked for spliced in.
 
-    The new text is placed at the original text base; stubs expand it, so
-    every original instruction may move.  The generator
+    The program view ({!Ir}) holds no stubs; one request's stubs come in
+    a {!table} built for that request, so a single built program serves
+    any number of requests at once.  The new text is placed at the
+    original text base; stubs expand it, so every original instruction
+    may move.  The generator
 
     - computes the old-to-new PC map,
     - re-resolves every PC-relative branch through that map (branch targets
@@ -14,6 +18,34 @@
 
     Data-resident code references ([Cr_quad]/[Cr_long]) are reported back
     for the caller (ATOM) to patch in the data image. *)
+
+type stub = {
+  s_size : int;  (** bytes the stub occupies; must equal [4 * length (s_emit ~pc)] *)
+  s_emit : pc:int -> Alpha.Insn.t list;
+      (** instructions, given the stub's final placement address *)
+}
+(** A stub's size must be known up front (layout is a single pass) while
+    its bytes may depend on its final address (a [bsr] to an absolute
+    target needs its own PC), hence the [s_size]/[s_emit] split. *)
+
+val stub_of_insns : Alpha.Insn.t list -> stub
+(** A stub whose contents do not depend on placement. *)
+
+type place =
+  | Before  (** runs before the instruction, also when it is entered by a branch *)
+  | After  (** runs after the instruction, on fall-through only *)
+  | Taken_edge
+      (** only legal on a conditional branch: runs exactly when the branch
+          is taken.  Lowered by inverting the branch over a trampoline
+          (the paper's deferred "calls on edges" feature). *)
+
+type table
+(** One request's stubs: for each original PC, its before-, taken-edge
+    and after-stubs, each in the order they were requested. *)
+
+val table : (int * place * stub) list -> table
+(** The table of [(original pc, place, stub)] requests, in request
+    order. *)
 
 type error_info = { e_proc : string; e_pc : int; e_what : string }
 (** A structural failure at a specific site: the enclosing procedure, the
@@ -49,10 +81,14 @@ type result = {
           which code is inserted and which is relocated application text *)
 }
 
-val sizeof : Ir.program -> int
-(** Size in bytes of the instrumented text (layout is deterministic). *)
+val sizeof : ?stubs:table -> Ir.program -> int
+(** Size in bytes of the instrumented text: the original text plus the
+    table's stubs (layout is deterministic).  Without [stubs], the size
+    of the original text. *)
 
-val generate : Ir.program -> result
-(** @raise Error if a rewritten branch no longer fits its displacement
+val generate : ?stubs:table -> Ir.program -> result
+(** Without [stubs], a plain relayout.
+    @raise Error if a rewritten branch no longer fits its displacement
     field, a stub misdeclares its size, or stubs are attached to an
-    instruction that cannot host them. *)
+    instruction that cannot host them.
+    @raise Failure if a table PC is not an instruction of the program. *)

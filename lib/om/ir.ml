@@ -1,20 +1,12 @@
-type stub = {
-  s_size : int;
-  s_emit : pc:int -> Alpha.Insn.t list;
-}
-
 type inst = {
   i_insn : Alpha.Insn.t;
   i_pc : int;
-  mutable i_before : stub list;
-  mutable i_after : stub list;
-  mutable i_taken : stub list;
 }
 
 type block = {
   b_addr : int;
   b_insts : inst array;
-  mutable b_succs : int list;
+  b_succs : int list;
 }
 
 type proc = {
@@ -28,13 +20,6 @@ type program = {
   procs : proc array;
   exe : Objfile.Exe.t;
 }
-
-let add_before i s = i.i_before <- i.i_before @ [ s ]
-let add_after i s = i.i_after <- i.i_after @ [ s ]
-let add_taken i s = i.i_taken <- i.i_taken @ [ s ]
-
-let stub_of_insns insns =
-  { s_size = 4 * List.length insns; s_emit = (fun ~pc:_ -> insns) }
 
 let first_inst b = b.b_insts.(0)
 let last_inst b = b.b_insts.(Array.length b.b_insts - 1)
@@ -50,35 +35,6 @@ let iter_insts prog fn =
   Array.iter
     (fun p -> Array.iter (fun b -> Array.iter (fun i -> fn p b i) b.b_insts) p.p_blocks)
     prog.procs
-
-(* A fresh instrumentation view: new [inst]/[block]/[proc] records with
-   empty action slots, sharing the immutable payload (decoded
-   instructions, the executable).  Callers that cache a built program
-   hand each client its own view, so two concurrent instrumentations of
-   the same executable can never observe each other's stubs. *)
-let copy prog =
-  {
-    exe = prog.exe;
-    procs =
-      Array.map
-        (fun p ->
-          {
-            p with
-            p_blocks =
-              Array.map
-                (fun b ->
-                  {
-                    b with
-                    b_insts =
-                      Array.map
-                        (fun i ->
-                          { i with i_before = []; i_after = []; i_taken = [] })
-                        b.b_insts;
-                  })
-                p.p_blocks;
-          })
-        prog.procs;
-  }
 
 let find_proc prog name =
   Array.find_opt (fun p -> p.p_name = name) prog.procs

@@ -2,37 +2,22 @@
 
     A program is a linear collection of procedures, a procedure a
     collection of basic blocks, and a block a collection of instructions —
-    the exact view the paper's instrumentation API exposes.  Each
-    instruction carries mutable {e action slots}: instruction sequences to
-    splice in before or after it.  ATOM fills the slots; {!Codegen} lays
-    everything out and resolves displacements.
-
-    A stub's size must be known up front (layout is a single pass) while
-    its bytes may depend on its final address (a [bsr] to an absolute
-    target needs its own PC), hence the [s_size]/[s_emit] split. *)
-
-type stub = {
-  s_size : int;  (** bytes the stub occupies; must equal [4 * length (s_emit ~pc)] *)
-  s_emit : pc:int -> Alpha.Insn.t list;
-      (** instructions, given the stub's final placement address *)
-}
+    the exact view the paper's instrumentation API exposes.  The view is
+    immutable: it holds the decoded program and nothing a client adds to
+    it, so one built program is shared by every tool, every concurrent
+    request and the verifier.  The code a client asks to insert lives in
+    a per-request stub table ({!Codegen.table}) that {!Codegen} reads when
+    it lays the program back out. *)
 
 type inst = {
   i_insn : Alpha.Insn.t;
   i_pc : int;  (** original address in the uninstrumented program *)
-  mutable i_before : stub list;  (** in execution order *)
-  mutable i_after : stub list;
-  mutable i_taken : stub list;
-      (** taken-edge stubs: only legal on a conditional branch; executed
-          exactly when the branch is taken.  {!Codegen} lowers them by
-          inverting the branch over a trampoline (the paper's deferred
-          "calls on edges" feature). *)
 }
 
 type block = {
   b_addr : int;  (** original address of the first instruction *)
   b_insts : inst array;
-  mutable b_succs : int list;
+  b_succs : int list;
       (** original addresses of possible intra-procedure successors
           (branch targets and fall-through); empty after jumps/returns *)
 }
@@ -49,30 +34,13 @@ type program = {
   exe : Objfile.Exe.t;
 }
 
-val add_before : inst -> stub -> unit
-(** Append to the before-slot; calls run in the order they were added. *)
-
-val add_after : inst -> stub -> unit
-
-val add_taken : inst -> stub -> unit
-
-val stub_of_insns : Alpha.Insn.t list -> stub
-(** A stub whose contents do not depend on placement. *)
-
 val first_inst : block -> inst
 val last_inst : block -> inst
 val entry_block : proc -> block
 val inst_count : program -> int
 
 val iter_insts : program -> (proc -> block -> inst -> unit) -> unit
-
-val copy : program -> program
-(** A fresh instrumentation view of the program: new procedure, block and
-    instruction records whose action slots are all empty, sharing the
-    immutable payload (decoded instructions, successor lists, the
-    executable).  A cached master program is never handed out directly —
-    each client instruments its own view, so concurrent instrumentations
-    of one executable cannot observe each other's stubs. *)
+(** In address order. *)
 
 val find_proc : program -> string -> proc option
 

@@ -61,13 +61,7 @@ let program_ref exe =
         let insts =
           Array.init (stop - !blk_start) (fun k ->
               let idx = !blk_start + k in
-              {
-                Ir.i_insn = insns.(idx);
-                i_pc = base + (idx * 4);
-                i_before = [];
-                i_after = [];
-                i_taken = [];
-              })
+              { Ir.i_insn = insns.(idx); i_pc = base + (idx * 4) })
         in
         let last = insts.(Array.length insts - 1) in
         let succs =

@@ -216,11 +216,20 @@ let run exe =
   | Machine.Sim.Fault f -> Alcotest.failf "fault %s" (Machine.Fault.to_string f)
   | Machine.Sim.Out_of_fuel -> Alcotest.fail "fuel"
 
-let nop_stub = Om.Ir.stub_of_insns [ Alpha.Insn.nop ]
+let nop_stub = Om.Codegen.stub_of_insns [ Alpha.Insn.nop ]
 
-(* [exe] with its text regenerated from [prog] *)
-let regenerate exe prog =
-  let r = Om.Codegen.generate prog in
+(* a request table: [stub] at [place] for every instruction [pick]s *)
+let table_where prog pick =
+  let requests = ref [] in
+  Om.Ir.iter_insts prog (fun _ _ i ->
+      List.iter
+        (fun (place, stub) -> requests := (i.Om.Ir.i_pc, place, stub) :: !requests)
+        (pick i));
+  Om.Codegen.table (List.rev !requests)
+
+(* [exe] with its text regenerated from [prog] and [stubs] *)
+let regenerate exe prog stubs =
+  let r = Om.Codegen.generate ~stubs prog in
   {
     exe with
     Objfile.Exe.x_entry = r.Om.Codegen.r_map exe.Objfile.Exe.x_entry;
@@ -240,10 +249,15 @@ let test_nop_padding () =
   let exe = Lazy.force sample_exe in
   let base = run exe in
   let prog = program () in
-  Om.Ir.iter_insts prog (fun _ _ i ->
-      Om.Ir.add_before i nop_stub;
-      if Alpha.Insn.falls_through i.Om.Ir.i_insn then Om.Ir.add_after i nop_stub);
-  let m = run (regenerate exe prog) in
+  let stubs =
+    table_where prog (fun i ->
+        (Om.Codegen.Before, nop_stub)
+        ::
+        (if Alpha.Insn.falls_through i.Om.Ir.i_insn then
+           [ (Om.Codegen.After, nop_stub) ]
+         else []))
+  in
+  let m = run (regenerate exe prog stubs) in
   Alcotest.(check string) "output identical" (Machine.Sim.stdout base)
     (Machine.Sim.stdout m);
   let i0 = (Machine.Sim.stats base).Machine.Sim.st_insns in
@@ -282,19 +296,37 @@ mid:    clr $16
   List.iter
     (fun pad ->
       let prog = Om.Build.program exe in
-      Om.Ir.iter_insts prog (fun _ _ i ->
-          if pad i.Om.Ir.i_insn then Om.Ir.add_before i nop_stub);
-      ignore (run (regenerate exe prog)))
+      let stubs =
+        table_where prog (fun i ->
+            if pad i.Om.Ir.i_insn then [ (Om.Codegen.Before, nop_stub) ] else [])
+      in
+      ignore (run (regenerate exe prog stubs)))
     [ (fun _ -> true); (function Alpha.Insn.Jump _ -> true | _ -> false) ]
 
 let test_sizeof_matches_generate () =
   let prog = program () in
-  let stub = Om.Ir.stub_of_insns [ Alpha.Insn.nop; Alpha.Insn.nop ] in
-  Om.Ir.iter_insts prog (fun _ _ i ->
-      if i.Om.Ir.i_pc land 8 = 0 then Om.Ir.add_before i stub);
-  let size = Om.Codegen.sizeof prog in
-  let r = Om.Codegen.generate prog in
+  let stub = Om.Codegen.stub_of_insns [ Alpha.Insn.nop; Alpha.Insn.nop ] in
+  let stubs =
+    table_where prog (fun i ->
+        if i.Om.Ir.i_pc land 8 = 0 then [ (Om.Codegen.Before, stub) ] else [])
+  in
+  let size = Om.Codegen.sizeof ~stubs prog in
+  let r = Om.Codegen.generate ~stubs prog in
   Alcotest.(check int) "sizeof = generated bytes" size (Bytes.length r.Om.Codegen.r_text)
+
+(* a table pc between two instructions, or past the text, names no
+   instruction: codegen must refuse it rather than drop its stubs *)
+let test_table_pc_not_an_instruction () =
+  let exe = Lazy.force sample_exe in
+  let prog = program () in
+  let text = exe.Objfile.Exe.x_text_start in
+  List.iter
+    (fun pc ->
+      let stubs = Om.Codegen.table [ (pc, Om.Codegen.Before, nop_stub) ] in
+      match Om.Codegen.generate ~stubs prog with
+      | _ -> Alcotest.failf "stub table pc %#x was accepted" pc
+      | exception Failure _ -> ())
+    [ text + 2; text + exe.Objfile.Exe.x_text_size; text - 4 ]
 
 (* -- liveness -------------------------------------------------------------- *)
 
@@ -467,5 +499,7 @@ let () =
           Alcotest.test_case "text address retargeted" `Quick
             test_text_address_retargeted;
           Alcotest.test_case "sizeof matches generate" `Quick test_sizeof_matches_generate;
+          Alcotest.test_case "table pc that is not an instruction" `Quick
+            test_table_pc_not_an_instruction;
         ] );
     ]

@@ -2,8 +2,8 @@
    daemon, byte-for-byte parity with the single-process pipeline,
    deterministic cache accounting under contention, persistence across a
    daemon restart, fail-closed per-request ceilings, and the toolcache
-   regressions (weak digest memo, fresh per-request IR views, one fuel
-   default). *)
+   regressions (weak digest memo, one IR shared by concurrent requests,
+   the store's format header, one fuel default). *)
 
 let temp_dir () =
   let d = Filename.temp_file "atom-serve-test" "" in
@@ -262,29 +262,71 @@ let test_digest_memo_retention () =
     true
     (!freed >= n - 8)
 
-(* two domains hammer Toolcache.program for one executable, each mutating
-   the view it got; every fetch must observe pristine (empty) action
-   slots *)
-let test_fresh_program_views () =
+let image_of t exe = Objfile.Exe.to_string (fst (Tools.Tool.apply t exe))
+
+(* two domains instrument one executable with different tools at once,
+   from empty caches, so both wait on one build of its IR and then share
+   it: each image must be the one a sequential run produced, and the
+   cache must hand out the very IR it holds *)
+let test_shared_program () =
   let exe = Workloads.compile (workload "hashtab") in
-  let iters = 50 in
-  let worker () =
-    Domain.spawn (fun () ->
-        let dirty = ref 0 in
-        for _ = 1 to iters do
-          let prog = Atom.Toolcache.program exe in
-          Om.Ir.iter_insts prog (fun _ _ i ->
-              if i.Om.Ir.i_before <> [] || i.Om.Ir.i_after <> [] then
-                incr dirty);
-          (* scribble on our private view *)
-          Om.Ir.iter_insts prog (fun _ _ i ->
-              Om.Ir.add_before i (Om.Ir.stub_of_insns []))
-        done;
-        !dirty)
+  let tools = [ tool "branch"; tool "prof" ] in
+  let sequential = List.map (fun t -> image_of t exe) tools in
+  Atom.Toolcache.clear ();
+  let builds0 = Atom.Toolcache.misses ~kind:"prog" () in
+  let concurrent =
+    List.map (fun t -> Domain.spawn (fun () -> image_of t exe)) tools
+    |> List.map Domain.join
   in
-  let a = worker () and b = worker () in
-  let dirty = Domain.join a + Domain.join b in
-  Alcotest.(check int) "no fetch ever observed another view's stubs" 0 dirty
+  List.iter2
+    (fun want got ->
+      Alcotest.(check bool) "concurrent image equals the sequential one" true
+        (String.equal want got))
+    sequential concurrent;
+  Alcotest.(check int) "one IR build" 1
+    (Atom.Toolcache.misses ~kind:"prog" () - builds0);
+  let prog = Atom.Toolcache.program exe in
+  Alcotest.(check bool) "a hit returns the cached IR itself" true
+    (prog == Atom.Toolcache.program exe)
+
+(* entries written under an older store format are misses, never
+   unmarshalled into today's types: rewrite every entry's header to the
+   previous magic and instrument again *)
+let test_store_format_header () =
+  let exe = Workloads.compile (workload "sieve") in
+  let store = temp_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atom.Toolcache.set_store None;
+      rm_rf store)
+    (fun () ->
+      Atom.Toolcache.clear ();
+      Atom.Toolcache.set_store (Some store);
+      let first = image_of (tool "prof") exe in
+      let entries =
+        List.filter
+          (fun f -> not (String.starts_with ~prefix:".tmp-" f))
+          (Array.to_list (Sys.readdir store))
+      in
+      Alcotest.(check bool) "entries were written" true (entries <> []);
+      List.iter
+        (fun f ->
+          let path = Filename.concat store f in
+          let body = In_channel.with_open_bin path In_channel.input_all in
+          let nl = String.index body '\n' in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc "ATOMTC/1";
+              output_string oc (String.sub body nl (String.length body - nl))))
+        entries;
+      Atom.Toolcache.clear ();
+      let disk0 = Atom.Toolcache.disk_hits ()
+      and misses0 = Atom.Toolcache.misses () in
+      let second = image_of (tool "prof") exe in
+      Alcotest.(check int) "no entry served from disk" disk0
+        (Atom.Toolcache.disk_hits ());
+      Alcotest.(check bool) "every entry rebuilt" true
+        (Atom.Toolcache.misses () > misses0);
+      Alcotest.(check bool) "identical image" true (String.equal first second))
 
 let test_one_fuel_default () =
   Alcotest.(check int) "the one documented fuel default" 1_000_000_000
@@ -310,8 +352,10 @@ let () =
         [
           Alcotest.test_case "digest memo retains nothing" `Quick
             test_digest_memo_retention;
-          Alcotest.test_case "fresh per-request IR views" `Quick
-            test_fresh_program_views;
+          Alcotest.test_case "concurrent requests share one IR" `Quick
+            test_shared_program;
+          Alcotest.test_case "older store format is a miss" `Quick
+            test_store_format_header;
           Alcotest.test_case "one fuel default" `Quick test_one_fuel_default;
         ] );
     ]
