@@ -349,39 +349,36 @@ let instrument ?(options = default_options) ~exe ~tool ~analysis () =
         })
       actions
   in
-  let stubs =
-    Om.Codegen.table
-      (List.map
-         (fun (a : Api.action) ->
-           let ir_inst = Api.ir_inst a.Api.a_inst in
-           let extra_saves =
-             match options.call_style with
-             | Wrapper -> Alpha.Regset.empty
-             | Inline_saves | Inline_body | Specialized ->
-                 Alpha.Regset.diff (summary_of a.Api.a_proc)
-                   (Alpha.Regset.of_list
-                      (Alpha.Reg.ra
-                      :: List.init (List.length a.Api.a_args) (fun i -> 16 + i)))
-           in
-           let live =
-             Option.map
-               (fun tbl ->
-                 match a.Api.a_place with
-                 | Api.Before | Api.Taken_edge ->
-                     (* for a taken edge, live-before the branch is a superset
-                        of liveness at the taken target *)
-                     Om.Liveness.live_before tbl ir_inst.Om.Ir.i_pc
-                 | Api.After -> Om.Liveness.live_after prog tbl ir_inst.Om.Ir.i_pc)
-               live_table
-           in
-           ( ir_inst.Om.Ir.i_pc,
-             a.Api.a_place,
-             Stubgen.site_stub ~site_insn:ir_inst.Om.Ir.i_insn
-               ~args:(List.map (resolve_arg a) a.Api.a_args)
-               ~extra_saves ?live
-               ~callee:(callee_of a.Api.a_proc) () ))
-         actions)
+  let lower (a : Api.action) =
+    let ir_inst = Api.ir_inst a.Api.a_inst in
+    let extra_saves =
+      match options.call_style with
+      | Wrapper -> Alpha.Regset.empty
+      | Inline_saves | Inline_body | Specialized ->
+          Alpha.Regset.diff (summary_of a.Api.a_proc)
+            (Alpha.Regset.of_list
+               (Alpha.Reg.ra
+               :: List.init (List.length a.Api.a_args) (fun i -> 16 + i)))
+    in
+    let live =
+      Option.map
+        (fun tbl ->
+          match a.Api.a_place with
+          | Api.Before | Api.Taken_edge ->
+              (* for a taken edge, live-before the branch is a superset
+                 of liveness at the taken target *)
+              Om.Liveness.live_before tbl ir_inst.Om.Ir.i_pc
+          | Api.After -> Om.Liveness.live_after prog tbl ir_inst.Om.Ir.i_pc)
+        live_table
+    in
+    ( ir_inst.Om.Ir.i_pc,
+      a.Api.a_place,
+      Stubgen.site_stub ~site_insn:ir_inst.Om.Ir.i_insn
+        ~args:(List.map (resolve_arg a) a.Api.a_args)
+        ~extra_saves ?live
+        ~callee:(callee_of a.Api.a_proc) () )
   in
+  let stubs = Om.Codegen.table (List.map lower actions) in
   (* 7. placement *)
   let text_base = exe.Exe.x_text_start in
   let new_text_size = Om.Codegen.sizeof ~stubs prog in

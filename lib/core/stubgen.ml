@@ -162,7 +162,8 @@ let slot_of slots r = List.assoc_opt r slots
 (* instructions computing argument [i] into register 16+i.  When [final]
    is false this is a sizing dry-run: late-bound addresses ([R_addr]) are
    replaced by a placeholder of identical encoded size. *)
-let arg_insns ~final ~site_insn ~int_slots ~scratch ~frame_size i arg =
+let arg_insns ~final ~site_insn f i arg =
+  let int_slots = f.f_ints and scratch = f.f_scratch and frame_size = f.f_size in
   let dst = 16 + i in
   let read_reg r k =
     (* produce instructions placing the *original* value of r in k *)
@@ -258,13 +259,7 @@ let site_stub ~site_insn ~args ~extra_saves ?live ~callee () =
   let needs_ra = match callee with Call _ -> true | Splice _ -> false in
   let f = build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra in
   let make_prefix ~final =
-    frame_saves f
-    @ List.concat
-        (List.mapi
-           (fun i arg ->
-             arg_insns ~final ~site_insn ~int_slots:f.f_ints ~scratch:f.f_scratch
-               ~frame_size:f.f_size i arg)
-           args)
+    frame_saves f @ List.concat (List.mapi (arg_insns ~final ~site_insn f) args)
   in
   let prefix = make_prefix ~final:false in
   (* built at emission rather than kept from here: a list that lives

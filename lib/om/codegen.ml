@@ -95,8 +95,9 @@ let iter_beside prog (stubs : table) fn =
   let next = ref 0 in
   Ir.iter_insts prog (fun p _ i ->
       if !next < Array.length stubs && stubs.(!next).t_pc = i.Ir.i_pc then begin
+        let e = stubs.(!next) in
         incr next;
-        fn p i (Some stubs.(!next - 1))
+        fn p i (Some e)
       end
       else fn p i None);
   if !next < Array.length stubs then
