@@ -192,6 +192,26 @@ let decode w =
 
 let roundtrips w = encode (decode w) = w land mask32
 
+(* Decode memo for Om.Build: instruction words repeat heavily across an
+   image, so each distinct word is decoded once and every instruction
+   with that word shares one Insn.t value (immutable, so sharing is
+   safe) — including in the IR the toolchain cache keeps.  The table is
+   domain-local: worker domains of a serving process each memoize
+   independently rather than racing on (or locking around) one hash
+   table in the decode hot path. *)
+let memo_key : (int, Insn.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+
+let decode_cached w =
+  let w = w land mask32 in
+  let memo = Domain.DLS.get memo_key in
+  match Hashtbl.find_opt memo w with
+  | Some i -> i
+  | None ->
+      let i = decode w in
+      Hashtbl.add memo w i;
+      i
+
 let read_word b off =
   Char.code (Bytes.get b off)
   lor (Char.code (Bytes.get b (off + 1)) lsl 8)
@@ -205,4 +225,5 @@ let write_word b off w =
   Bytes.set b (off + 3) (Char.chr ((w lsr 24) land 0xFF))
 
 let decode_at b off = decode (read_word b off)
+let decode_at_cached b off = decode_cached (read_word b off)
 let encode_at b off i = write_word b off (encode i)

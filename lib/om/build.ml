@@ -1,7 +1,8 @@
 open Alpha
 
 (* Symbol and leader lookups go through sorted arrays with binary search
-   instead of per-address list scans; the tests check the output
+   instead of per-address list scans, and decoding goes through the
+   decode memo ([Code.decode_cached]); the tests check the output
    structurally against a list-scan builder. *)
 
 (* leftmost index in [arr] holding [key], or -1 *)
@@ -21,7 +22,7 @@ let program exe =
   let size = exe.Objfile.Exe.x_text_size in
   if size = 0 || size mod 4 <> 0 then failwith "Build.program: bad text segment";
   let n = size / 4 in
-  let insns = Array.init n (fun i -> Code.decode_at text (i * 4)) in
+  let insns = Array.init n (fun i -> Code.decode_at_cached text (i * 4)) in
   let funcs = Array.of_list (Objfile.Exe.funcs_sorted exe) in
   (* funcs_sorted is address-sorted; the first symbol at an address names
      the procedure *)

@@ -10,5 +10,5 @@
 val program : Objfile.Exe.t -> Ir.program
 (** @raise Failure if the text segment is malformed (e.g. empty).
 
-    Symbol and leader lookups use sorted arrays with binary search; each
-    word is decoded with {!Alpha.Code.decode_at}. *)
+    Symbol and leader lookups use sorted arrays with binary search and
+    decoding goes through {!Alpha.Code.decode_cached}. *)

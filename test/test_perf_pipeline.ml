@@ -148,6 +148,18 @@ let prop_folds =
       && List.rev (Alpha.Regset.fold_fps (fun r acc -> r :: acc) s [])
          = Alpha.Regset.fps s)
 
+(* -- the IR builder's decode memo ----------------------------------------- *)
+
+let arbitrary_word =
+  QCheck.(
+    make
+      Gen.(int_bound 0xFFFFFFF >|= fun n -> n * 2654435761 land 0xFFFFFFFF))
+
+let prop_decode_memo =
+  QCheck.Test.make ~count:2000 ~name:"decode memo agrees with plain decode"
+    arbitrary_word (fun w ->
+      Alpha.Code.decode_cached w = Alpha.Code.decode w)
+
 let () =
   Alcotest.run "perf-pipeline"
     [
@@ -169,4 +181,6 @@ let () =
         ] );
       ( "regset",
         List.map QCheck_alcotest.to_alcotest [ prop_cardinal; prop_folds ] );
+      ( "decode-memo",
+        List.map QCheck_alcotest.to_alcotest [ prop_decode_memo ] );
     ]
