@@ -20,8 +20,9 @@
     miss publishes its key as in-flight and builds outside the lock;
     concurrent requests for the same key wait for the build instead of
     duplicating it, so N simultaneous first requests for one key are
-    exactly one miss and N−1 hits.  Every cached value is immutable, so
-    a hit hands out the cached value itself: callers on any number of
+    exactly one miss and N−1 hits.  Every cached value is immutable or
+    only ever read (the liveness table; the link blob, which callers
+    copy), so a hit hands out the cached value itself: callers on any number of
     domains share one application IR ({!program}), which holds no
     stubs (each request's stubs live in its own {!Om.Codegen.table}).
 
