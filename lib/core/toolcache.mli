@@ -22,9 +22,10 @@
     duplicating it, so N simultaneous first requests for one key are
     exactly one miss and N−1 hits.  Every cached value is immutable or
     only ever read (the liveness table; the link blob, which callers
-    copy), so a hit hands out the cached value itself: callers on any number of
-    domains share one application IR ({!program}), which holds no
-    stubs (each request's stubs live in its own {!Om.Codegen.table}).
+    copy), so a hit hands out the cached value itself: callers on any
+    number of domains share one application IR ({!program}), which
+    holds no stubs (each request's stubs live in its own
+    {!Om.Codegen.table}).
 
     {b Persistence.}  {!set_store} points the cache at a directory; every
     entry built thereafter is written through (temp file + atomic rename)
