@@ -102,16 +102,18 @@ let frame ~scratch ints fps =
     f_size = 8 * (nint + nfp + if scratch then 1 else 0);
   }
 
+(* closed lambdas rather than partial applications of [slot], which
+   would allocate a closure per call *)
 let slot op (r, off) = Insn.Mem { op; ra = r; rb = Reg.sp; disp = off }
 
 let frame_saves f =
   Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = -f.f_size }
-  :: List.map (slot Insn.Stq) f.f_ints
-  @ List.map (slot Insn.Stt) f.f_fps
+  :: List.map (fun s -> slot Insn.Stq s) f.f_ints
+  @ List.map (fun s -> slot Insn.Stt s) f.f_fps
 
 let frame_restores f =
-  List.map (slot Insn.Ldq) f.f_ints
-  @ List.map (slot Insn.Ldt) f.f_fps
+  List.map (fun s -> slot Insn.Ldq s) f.f_ints
+  @ List.map (fun s -> slot Insn.Ldt s) f.f_fps
   @ [ Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = f.f_size } ]
 
 let build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra =

@@ -33,9 +33,10 @@ type table = entry array
 let no_stubs pc = { t_pc = pc; t_before = []; t_taken = []; t_after = [] }
 
 let table requests =
-  let sorted =
-    List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) requests
-  in
+  (* an array sort: a list merge sort allocates a cell per element per
+     pass *)
+  let sorted = Array.of_list requests in
+  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) sorted;
   (* from the right, so each place keeps its stubs in request order *)
   let add (pc, place, s) entries =
     let e, rest =
@@ -49,7 +50,7 @@ let table requests =
     | After -> { e with t_after = s :: e.t_after })
     :: rest
   in
-  Array.of_list (List.fold_right add sorted [])
+  Array.of_list (Array.fold_right add sorted [])
 
 type extent = { e_addr : int; e_size : int }
 
