@@ -143,6 +143,10 @@ val rank_program_after : int
 
 val create : Om.Ir.program -> t
 val ir : t -> Om.Ir.program
+(** The application's IR.  It is the one value {!Toolcache.program}
+    caches, shared with every other request and the verifier: read it,
+    never write into its arrays. *)
+
 val ir_inst : inst -> Om.Ir.inst
 val protos : t -> (string, Proto.t) Hashtbl.t
 val actions : t -> action list

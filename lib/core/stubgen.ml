@@ -106,15 +106,23 @@ let frame ~scratch ints fps =
    would allocate a closure per call *)
 let slot op (r, off) = Insn.Mem { op; ra = r; rb = Reg.sp; disp = off }
 
-let frame_saves f =
+(* [frame_saves f rest] and [frame_restores f rest] put the frame's code
+   in front of [rest], building each list once *)
+let frame_saves f rest =
   Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = -f.f_size }
-  :: List.map (fun s -> slot Insn.Stq s) f.f_ints
-  @ List.map (fun s -> slot Insn.Stt s) f.f_fps
+  :: List.fold_right
+       (fun s acc -> slot Insn.Stq s :: acc)
+       f.f_ints
+       (List.fold_right (fun s acc -> slot Insn.Stt s :: acc) f.f_fps rest)
 
-let frame_restores f =
-  List.map (fun s -> slot Insn.Ldq s) f.f_ints
-  @ List.map (fun s -> slot Insn.Ldt s) f.f_fps
-  @ [ Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = f.f_size } ]
+let frame_restores f rest =
+  List.fold_right
+    (fun s acc -> slot Insn.Ldq s :: acc)
+    f.f_ints
+    (List.fold_right
+       (fun s acc -> slot Insn.Ldt s :: acc)
+       f.f_fps
+       (Insn.Mem { op = Insn.Lda; ra = Reg.sp; rb = Reg.sp; disp = f.f_size } :: rest))
 
 let build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra =
   let nargs = List.length args in
@@ -260,21 +268,15 @@ type callee = Call of target | Splice of int * (unit -> Insn.t list)
 let site_stub ~site_insn ~args ~extra_saves ?live ~callee () =
   let needs_ra = match callee with Call _ -> true | Splice _ -> false in
   let f = build_frame ~site_insn ~args ~extra_saves ~live ~needs_ra in
-  let make_prefix ~final =
-    frame_saves f @ List.concat (List.mapi (arg_insns ~final ~site_insn f) args)
-  in
-  let prefix = make_prefix ~final:false in
-  (* built at emission rather than kept from here: a list that lives
-     until codegen is promoted out of the minor heap *)
-  let suffix () = frame_restores f in
-  let npre = List.length prefix in
+  let arg_code ~final = List.concat (List.mapi (arg_insns ~final ~site_insn f) args) in
+  let npre = List.length (frame_saves f (arg_code ~final:false)) in
   let mid_len = match callee with Call _ -> 1 | Splice (n, _) -> n in
-  let total = npre + mid_len + List.length (suffix ()) in
+  let total = npre + mid_len + List.length (frame_restores f []) in
   {
     Om.Codegen.s_size = 4 * total;
     s_emit =
       (fun ~pc ->
-        let prefix = make_prefix ~final:true in
+        let code = arg_code ~final:true in
         let mid =
           match callee with
           | Call target ->
@@ -289,7 +291,9 @@ let site_stub ~site_insn ~args ~extra_saves ?live ~callee () =
                 failwith "Stubgen: spliced body changed size";
               body
         in
-        prefix @ mid @ suffix ());
+        (* the lists are built here rather than kept from sizing: a list
+           that lives until codegen is promoted out of the minor heap *)
+        frame_saves f (code @ mid @ frame_restores f []));
   }
 
 (* -- wrapper routines --------------------------------------------------- *)
@@ -298,11 +302,9 @@ let wrapper ~at ~summary ~nargs ~proc_addr =
   let site_saved = Regset.of_list (Reg.ra :: List.init nargs (fun i -> 16 + i)) in
   let to_save = Regset.diff summary site_saved in
   let f = frame ~scratch:false (Reg.ra :: Regset.ints to_save) (Regset.fps to_save) in
-  let saves = frame_saves f in
-  let call_pc = at + (4 * List.length saves) in
+  let call_pc = at + (4 * List.length (frame_saves f [])) in
   let disp = (proc_addr - (call_pc + 4)) / 4 in
   if not (Code.fits_disp21 disp) then failwith "Stubgen: wrapper call out of range";
-  saves
-  @ (Insn.Br { link = true; ra = Reg.ra; disp }
-    :: frame_restores f
-    @ [ Insn.Jump { kind = Insn.Ret; ra = Reg.zero; rb = Reg.ra; hint = 1 } ])
+  frame_saves f
+    (Insn.Br { link = true; ra = Reg.ra; disp }
+    :: frame_restores f [ Insn.Jump { kind = Insn.Ret; ra = Reg.zero; rb = Reg.ra; hint = 1 } ])
