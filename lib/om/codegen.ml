@@ -27,16 +27,18 @@ type entry = {
   t_after : stub list;
 }
 
-(* ascending by pc, one entry per pc *)
-type table = entry array
+(* ascending by pc, one entry per pc.  A list, not an array: an array
+   of more than 256 young values is made in the major heap, and
+   [Array.make] empties the minor heap first so that it holds no young
+   pointers, one minor collection of every domain per large request. *)
+type table = entry list
 
 let no_stubs pc = { t_pc = pc; t_before = []; t_taken = []; t_after = [] }
 
 let table requests =
-  (* an array sort: a list merge sort allocates a cell per element per
-     pass *)
-  let sorted = Array.of_list requests in
-  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) sorted;
+  let sorted =
+    List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) requests
+  in
   (* from the right, so each place keeps its stubs in request order *)
   let add (pc, place, s) entries =
     let e, rest =
@@ -50,7 +52,7 @@ let table requests =
     | After -> { e with t_after = s :: e.t_after })
     :: rest
   in
-  Array.of_list (Array.fold_right add sorted [])
+  List.fold_right add sorted []
 
 type extent = { e_addr : int; e_size : int }
 
@@ -81,8 +83,8 @@ let entry_bytes e =
   in
   stub_bytes e.t_before + tramp + stub_bytes e.t_after
 
-let sizeof ?(stubs = [||]) prog =
-  Array.fold_left
+let sizeof ?(stubs = []) prog =
+  List.fold_left
     (fun acc e -> acc + entry_bytes e)
     prog.Ir.exe.Objfile.Exe.x_text_size stubs
 
@@ -93,20 +95,19 @@ let sext16 v = if v land 0x8000 <> 0 then (v land 0xFFFF) - 0x10000 else v land 
    beside the instructions, so finding an instruction's stubs costs one
    comparison and no lookup *)
 let iter_beside prog (stubs : table) fn =
-  let next = ref 0 in
+  let rest = ref stubs in
   Ir.iter_insts prog (fun p _ i ->
-      if !next < Array.length stubs && stubs.(!next).t_pc = i.Ir.i_pc then begin
-        let e = stubs.(!next) in
-        incr next;
-        fn p i (Some e)
-      end
-      else fn p i None);
-  if !next < Array.length stubs then
-    failwith
-      (Printf.sprintf "Codegen: stub table pc %#x is not an instruction"
-         stubs.(!next).t_pc)
+      match !rest with
+      | e :: more when e.t_pc = i.Ir.i_pc ->
+          rest := more;
+          fn p i (Some e)
+      | _ -> fn p i None);
+  match !rest with
+  | e :: _ ->
+      failwith (Printf.sprintf "Codegen: stub table pc %#x is not an instruction" e.t_pc)
+  | [] -> ()
 
-let generate ?(stubs = [||]) prog =
+let generate ?(stubs = []) prog =
   let exe = prog.Ir.exe in
   let base = exe.Objfile.Exe.x_text_start in
   let old_size = exe.Objfile.Exe.x_text_size in
